@@ -7,11 +7,14 @@ for strict parsers).
 
 Config precedence is flag > environment variable > built-in default;
 the recognized variables are HARMBENCH_BG_THRESHOLD, HARMBENCH_BINS
-and HARMBENCH_WORKERS.
+and HARMBENCH_WORKERS, parsed like the flag they default. Every setting
+is validated once, before any volume is read, and a bad flag or
+variable value is a usage error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,19 +22,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .anatomy import anatomy_preservation, as_label_volume
-from .distribution import (
-    DEFAULT_BINS,
-    DEFAULT_EXACT_CAP,
-    ForegroundPolicy,
-    coarsen_jointly,
-    extract_foreground,
-)
+from .anatomy import as_label_volume
+from .distribution import DEFAULT_BINS, DEFAULT_EXACT_CAP, ForegroundPolicy
 from .errors import HarmbenchError, NoSuccessfulRows
 from .harness import (
+    METRIC_ORDER,
     EvalConfig,
+    anatomy_metrics,
     emit_report,
     evaluate_all,
+    group_key,
+    intensity_metrics,
     load_manifest,
     read_rows_csv,
     series_from_rows,
@@ -43,7 +44,7 @@ from .nifti import load_volume
 from .reference import SsimParams, paired_metrics
 from .stats import correlation_matrix
 from .synth import write_synthetic_dataset
-from .wasserstein import DEFAULT_VERDICT_TOL, classify, nwd
+from .wasserstein import DEFAULT_VERDICT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,14 +56,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+class _UsageError(Exception):
+    """A setting no run can use."""
 
 
 def _json_safe(obj):
@@ -88,21 +83,51 @@ def _add_fg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--bg-threshold",
         type=float,
-        default=_env("HARMBENCH_BG_THRESHOLD", float, 0.0),
+        default=os.environ.get("HARMBENCH_BG_THRESHOLD") or 0.0,
         help="foreground keeps intensities strictly above this (default 0)",
     )
     p.add_argument("--fg-mask", type=Path, default=None,
                    help="label volume; nonzero voxels are foreground")
 
 
-def _add_wd_mode_flags(p: argparse.ArgumentParser) -> None:
+class _ForceBinned(argparse.Action):
+    """``--bins N`` sets the bin count and forces the binned distance."""
+
+    def __call__(self, parser, ns, values, option_string=None):
+        ns.bins, ns.wd_mode = values, "binned"
+
+
+def _add_wd_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--bins", type=int, default=None,
+    group.add_argument("--bins", type=int, action=_ForceBinned,
+                       default=os.environ.get("HARMBENCH_BINS") or DEFAULT_BINS,
                        help="force the binned distance with this many bins")
-    group.add_argument("--exact", action="store_true",
+    group.add_argument("--exact", dest="wd_mode", action="store_const",
+                       const="exact", default="auto",
                        help="force the exact distance regardless of sample count")
     p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                    help="auto mode switches to binning above this sample count")
+
+
+def label_legend(spec: str) -> dict[int, str] | None:
+    """``--labels`` value such as ``1=GM,2=WM``; a bare label is named
+    ``label-<k>``."""
+    if not spec:
+        return None
+    legend = {}
+    for item in spec.split(","):
+        key, _, name = item.partition("=")
+        label = int(key)
+        legend[label] = name.strip() or f"label-{label}"
+    return legend
+
+
+def _add_ap_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--labels", type=label_legend, default=None,
+                   help="segmentation legend, e.g. 1=GM,2=WM")
+    p.add_argument("--weighted", dest="weighted_ap", action="store_true",
+                   help="weight the mean by input volume (not the reporting default)")
 
 
 def _add_ssim_flags(p: argparse.ArgumentParser) -> None:
@@ -111,44 +136,33 @@ def _add_ssim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=float, default=0.03)
 
 
-def _policy(ns) -> ForegroundPolicy:
-    if getattr(ns, "fg_mask", None):
+def _config(ns) -> EvalConfig:
+    """The run's one EvalConfig, from whichever of its flags the
+    subcommand has. Settings are checked before the --fg-mask volume is
+    read; a bad one raises :class:`_UsageError`."""
+    given = vars(ns)
+    fields = {f.name: given[f.name] for f in dataclasses.fields(EvalConfig) if f.name in given}
+    try:
+        if "bg_threshold" in given:
+            fields["policy"] = ForegroundPolicy(threshold=ns.bg_threshold)
+        if "window" in given:
+            fields["ssim"] = SsimParams(window=ns.window, k1=ns.k1, k2=ns.k2)
+        config = EvalConfig(**fields)
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
+    if given.get("fg_mask"):
         mask = as_label_volume(load_volume(ns.fg_mask))
-        return ForegroundPolicy(mode="explicit-mask", mask=mask)
-    return ForegroundPolicy(threshold=ns.bg_threshold)
-
-
-def _wd_mode(ns) -> tuple[str, int]:
-    if ns.bins is not None:
-        return "binned", ns.bins
-    if ns.exact:
-        return "exact", _env("HARMBENCH_BINS", int, DEFAULT_BINS)
-    return "auto", _env("HARMBENCH_BINS", int, DEFAULT_BINS)
-
-
-def _parse_labels(spec: str | None) -> dict[int, str] | None:
-    if not spec:
-        return None
-    legend = {}
-    for item in spec.split(","):
-        key, _, name = item.partition("=")
-        legend[int(key.strip())] = name.strip() or f"label-{int(key.strip())}"
-    return legend
+        policy = dataclasses.replace(config.policy, mode="explicit-mask", mask=mask)
+        config = dataclasses.replace(config, policy=policy)
+    return config
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def _cmd_wd(ns) -> int:
-    policy = _policy(ns)
-    dists = tuple(
-        extract_foreground(load_volume(p), policy)
-        for p in (ns.input, ns.target, ns.pred)
-    )
-    mode, bins = _wd_mode(ns)
-    d_i, d_t, d_p = coarsen_jointly(dists, bins=bins, exact_cap=ns.exact_cap, mode=mode)
-    pair = nwd(d_i, d_t, d_p)
-    verdict = classify(pair, ns.tol)
+def _cmd_wd(ns, config: EvalConfig) -> int:
+    grids = (load_volume(p) for p in (ns.input, ns.target, ns.pred))
+    pair, verdict = intensity_metrics(grids, config)
     fields = [
         ("wd_ip", pair.wd_ip),
         ("wd_tp", pair.wd_tp),
@@ -164,11 +178,8 @@ def _cmd_wd(ns) -> int:
     return 0
 
 
-def _cmd_ap(ns) -> int:
-    legend = _parse_labels(ns.labels)
-    seg_i = as_label_volume(load_volume(ns.seg_input), legend)
-    seg_p = as_label_volume(load_volume(ns.seg_pred), legend)
-    report = anatomy_preservation(seg_i, seg_p, weighted=ns.weighted)
+def _cmd_ap(ns, config: EvalConfig) -> int:
+    report = anatomy_metrics(load_volume(ns.seg_input), load_volume(ns.seg_pred), config)
     if ns.json:
         _print_json({"per_structure": report.per_structure, "mean_ap": report.mean_ap})
     else:
@@ -177,9 +188,8 @@ def _cmd_ap(ns) -> int:
     return 0
 
 
-def _cmd_refmetrics(ns) -> int:
-    params = SsimParams(window=ns.window, k1=ns.k1, k2=ns.k2)
-    row = paired_metrics(load_volume(ns.pred), load_volume(ns.gt), _policy(ns), params)
+def _cmd_refmetrics(ns, config: EvalConfig) -> int:
+    row = paired_metrics(load_volume(ns.pred), load_volume(ns.gt), config.policy, config.ssim)
     fields = [("ssim", row.ssim), ("psnr", row.psnr_db), ("mae", row.mae), ("mse", row.mse)]
     if ns.json:
         _print_json(dict(fields))
@@ -188,7 +198,7 @@ def _cmd_refmetrics(ns) -> int:
     return 0
 
 
-def _cmd_corr(ns) -> int:
+def _cmd_corr(ns, config: EvalConfig) -> int:
     raw = read_rows_csv(ns.in_path)
     row_names = [s.strip() for s in ns.rows.split(",") if s.strip()]
     col_names = [s.strip() for s in ns.cols.split(",") if s.strip()]
@@ -208,25 +218,11 @@ def _cmd_corr(ns) -> int:
     return 0
 
 
-def _evaluate_config(ns) -> EvalConfig:
-    mode, bins = _wd_mode(ns)
-    return EvalConfig(
-        bg_threshold=ns.bg_threshold,
-        bins=bins,
-        exact_cap=ns.exact_cap,
-        wd_mode=mode,
-        tol=ns.tol,
-        ssim=SsimParams(window=ns.window, k1=ns.k1, k2=ns.k2),
-        labels=_parse_labels(ns.labels),
-        weighted_ap=ns.weighted,
-        workers=ns.workers,
-    )
-
-
-def _cmd_evaluate(ns) -> int:
+def _cmd_evaluate(ns, config: EvalConfig) -> int:
     records = load_manifest(ns.manifest)
-    config = _evaluate_config(ns)
     meta = {"version": __version__, **config.to_meta()}
+    if ns.fg_mask:
+        meta["fg_mask"] = str(ns.fg_mask)
     try:
         rows = evaluate_all(records, config)
     except NoSuccessfulRows as exc:
@@ -243,7 +239,7 @@ def _cmd_evaluate(ns) -> int:
     return 0
 
 
-def _cmd_synth(ns) -> int:
+def _cmd_synth(ns, config: EvalConfig) -> int:
     manifest = write_synthetic_dataset(
         ns.out, sites=ns.sites, n=ns.n, seed=ns.seed, size=ns.size
     )
@@ -254,21 +250,17 @@ def _cmd_synth(ns) -> int:
     return 0
 
 
-def _cmd_report(ns) -> int:
+def _cmd_report(ns, config: EvalConfig) -> int:
     raw = read_rows_csv(ns.in_path)
     ok = [r for r in raw if r.get("status") == "ok"]
     if not ok:
         raise NoSuccessfulRows("results file has no successful rows")
     meta = {"version": __version__}
-    groups = []
-    for r in ok:
-        key = r["site_out"] if ns.group_by == "site_out" else f"{r['site_in']}→{r['site_out']}"
-        metrics = {}
-        for name in ("ssim", "psnr", "mae", "mse", "nwd_ip", "nwd_tp", "ap"):
-            cell = (r.get(name) or "").strip()
-            if cell:
-                metrics[name] = float(cell)
-        groups.append((key, metrics))
+    groups = [
+        (group_key(r["site_in"], r["site_out"], ns.group_by),
+         {m: float(r[m]) for m in METRIC_ORDER if (r.get(m) or "").strip()})
+        for r in ok
+    ]
     fmt = "json" if ns.json else ns.format
     sys.stdout.buffer.write(emit_report(summarize_groups(groups), fmt, meta))
     sys.stdout.buffer.flush()
@@ -291,18 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--target", type=Path, required=True)
     p.add_argument("--pred", type=Path, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
     _add_fg_flags(p)
-    _add_wd_mode_flags(p)
+    _add_wd_flags(p)
     common(p)
     p.set_defaults(func=_cmd_wd)
 
     p = sub.add_parser("ap", help="anatomy preservation from two segmentations")
     p.add_argument("--seg-input", type=Path, required=True)
     p.add_argument("--seg-pred", type=Path, required=True)
-    p.add_argument("--labels", default=None, help="e.g. 1=GM,2=WM")
-    p.add_argument("--weighted", action="store_true",
-                   help="weight the mean by input volume (not the reporting default)")
+    _add_ap_flags(p)
     common(p)
     p.set_defaults(func=_cmd_ap)
 
@@ -326,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="per-row results CSV")
     p.add_argument("--report", choices=["md", "markdown", "csv", "json"], default="md")
     p.add_argument("--group-by", choices=["direction", "site_out"], default="direction")
-    p.add_argument("--workers", type=int, default=_env("HARMBENCH_WORKERS", int, 1))
-    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
-    p.add_argument("--labels", default=None, help="segmentation legend, e.g. 1=GM,2=WM")
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--workers", type=int, default=os.environ.get("HARMBENCH_WORKERS") or 1)
+    _add_ap_flags(p)
     _add_fg_flags(p)
-    _add_wd_mode_flags(p)
+    _add_wd_flags(p)
     _add_ssim_flags(p)
     common(p)
     p.set_defaults(func=_cmd_evaluate)
@@ -369,11 +356,11 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return ns.func(ns)
-    except HarmbenchError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        return ns.func(ns, _config(ns))
+    except _UsageError as exc:
+        print(f"{parser.prog} {ns.cmd}: error: {exc}", file=sys.stderr)
+        return 1
+    except (HarmbenchError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ class ForegroundPolicy:
         if self.mode not in ("threshold", "explicit-mask"):
             raise ValueError(f"unknown foreground mode {self.mode!r}")
         if not np.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         if self.mode == "explicit-mask" and self.mask is None:
             raise ValueError("explicit-mask mode requires a mask")
 

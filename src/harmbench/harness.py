@@ -86,9 +86,9 @@ class TripletRecord:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Every knob the batch evaluation honors."""
+    """Every knob the batch evaluation honors, validated on construction."""
 
-    bg_threshold: float = 0.0
+    policy: ForegroundPolicy = ForegroundPolicy()
     bins: int = DEFAULT_BINS
     exact_cap: int = DEFAULT_EXACT_CAP
     wd_mode: WdMode = "auto"
@@ -98,12 +98,21 @@ class EvalConfig:
     weighted_ap: bool = False
     workers: int = 1
 
-    def policy(self) -> ForegroundPolicy:
-        return ForegroundPolicy(threshold=self.bg_threshold)
+    def __post_init__(self):
+        for name in ("bins", "exact_cap", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.wd_mode not in ("auto", "exact", "binned"):
+            raise ValueError(f"unknown wd mode {self.wd_mode!r}")
+        if not 0.0 < self.tol < 0.5:
+            raise ValueError(f"tol must be in (0, 0.5), got {self.tol!r}")
 
     def to_meta(self) -> dict:
+        """The metric-affecting settings; ``workers`` changes no value and
+        is left out so results files compare equal across worker counts."""
         return {
-            "bg_threshold": self.bg_threshold,
+            "foreground": self.policy.mode,
+            "bg_threshold": self.policy.threshold,
             "bins": self.bins,
             "exact_cap": self.exact_cap,
             "wd_mode": self.wd_mode,
@@ -114,7 +123,6 @@ class EvalConfig:
             "labels": "" if self.labels is None else
                       ",".join(f"{k}={v}" for k, v in sorted(self.labels.items())),
             "weighted_ap": self.weighted_ap,
-            "workers": self.workers,
         }
 
 
@@ -135,10 +143,6 @@ class EvaluationRow:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    @property
-    def direction(self) -> str:
-        return f"{self.site_in}→{self.site_out}"
 
 
 # ----------------------------------------------------------------- manifest
@@ -242,70 +246,68 @@ def _load_single_channel(path: Path, channel: int | None) -> VoxelGrid:
     return grid
 
 
-def _evaluate_record(rec: TripletRecord, config: EvalConfig) -> EvaluationRow:
-    try:
-        grid_i = _load_single_channel(rec.input_path, rec.channel)
-        grid_t = _load_single_channel(rec.target_path, rec.channel)
-        grid_p = _load_single_channel(rec.pred_path, rec.channel)
-        policy = config.policy()
+def intensity_metrics(
+    grids: Iterable[VoxelGrid], config: EvalConfig
+) -> tuple[WdPair, HarmonizationVerdict]:
+    """Normalized Wasserstein pair and verdict of (input, target, prediction)."""
+    dists = tuple(extract_foreground(g, config.policy) for g in grids)
+    d_i, d_t, d_p = coarsen_jointly(
+        dists, bins=config.bins, exact_cap=config.exact_cap, mode=config.wd_mode
+    )
+    pair = nwd(d_i, d_t, d_p)
+    return pair, classify(pair, config.tol)
 
-        dists = (
-            extract_foreground(grid_i, policy),
-            extract_foreground(grid_t, policy),
-            extract_foreground(grid_p, policy),
+
+def anatomy_metrics(seg_input: VoxelGrid, seg_pred: VoxelGrid, config: EvalConfig) -> ApReport:
+    """Anatomy preservation between the input's and the prediction's segmentation."""
+    return anatomy_preservation(
+        as_label_volume(seg_input, config.labels),
+        as_label_volume(seg_pred, config.labels),
+        weighted=config.weighted_ap,
+    )
+
+
+def _evaluate_record(rec: TripletRecord, config: EvalConfig) -> EvaluationRow:
+    key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
+    try:
+        grids = tuple(
+            _load_single_channel(path, rec.channel)
+            for path in (rec.input_path, rec.target_path, rec.pred_path)
         )
-        d_i, d_t, d_p = coarsen_jointly(
-            dists, bins=config.bins, exact_cap=config.exact_cap, mode=config.wd_mode
-        )
-        pair = nwd(d_i, d_t, d_p)
-        verdict = classify(pair, config.tol)
+        pair, verdict = intensity_metrics(grids, config)
+        grid_p = grids[2]
+        del grids  # input and target are not needed past this point
 
         ap = None
         if rec.seg_input_path or rec.seg_pred_path:
             if not (rec.seg_input_path and rec.seg_pred_path):
                 raise ValueError("seg_input_path and seg_pred_path must both be set")
-            seg_i = as_label_volume(load_volume(rec.seg_input_path), config.labels)
-            seg_p = as_label_volume(load_volume(rec.seg_pred_path), config.labels)
-            ap = anatomy_preservation(seg_i, seg_p, weighted=config.weighted_ap)
+            ap = anatomy_metrics(
+                load_volume(rec.seg_input_path), load_volume(rec.seg_pred_path), config
+            )
 
         reference = None
         if rec.gt_path:
             grid_gt = _load_single_channel(rec.gt_path, rec.channel)
-            reference = paired_metrics(grid_p, grid_gt, policy, config.ssim)
+            reference = paired_metrics(grid_p, grid_gt, config.policy, config.ssim)
 
         return EvaluationRow(
-            id=rec.id,
-            site_in=rec.site_in,
-            site_out=rec.site_out,
-            channel=rec.channel,
-            status="ok",
-            wd=pair,
-            verdict=verdict,
-            ap=ap,
-            reference=reference,
+            **key, status="ok", wd=pair, verdict=verdict, ap=ap, reference=reference
         )
     except (HarmbenchError, OSError, ValueError) as exc:
-        return EvaluationRow(
-            id=rec.id,
-            site_in=rec.site_in,
-            site_out=rec.site_out,
-            channel=rec.channel,
-            status=f"error: {type(exc).__name__}: {exc}",
-        )
+        return EvaluationRow(**key, status=f"error: {type(exc).__name__}: {exc}")
 
 
 def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConfig()) -> list[EvaluationRow]:
-    """Evaluate every record; row order follows the manifest.
+    """Evaluate every record on ``config.workers`` threads; row order
+    follows the manifest.
 
     Per-record failures land in the row status. Raises
     :class:`NoSuccessfulRows` (carrying the failed rows) only when every
     single record failed.
     """
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda r: _evaluate_record(r, config), records))
-    else:
-        rows = [_evaluate_record(r, config) for r in records]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        rows = list(pool.map(lambda r: _evaluate_record(r, config), records))
     if records and not any(r.ok for r in rows):
         raise NoSuccessfulRows(
             f"all {len(rows)} records failed; first: {rows[0].status}", rows=rows
@@ -379,15 +381,23 @@ def summarize_groups(
     return tables
 
 
+def group_key(site_in: str, site_out: str, group_by: str = "direction") -> str:
+    """The summary group of one row: its site direction or its target site."""
+    if group_by == "direction":
+        return f"{site_in}→{site_out}"
+    if group_by == "site_out":
+        return site_out
+    raise ValueError(f"group_by must be 'direction' or 'site_out', got {group_by!r}")
+
+
 def summarize(rows: Sequence[EvaluationRow], group_by: str = "direction") -> list[SummaryTable]:
     """Mean ± std per metric per group over the successful rows."""
-    if group_by not in ("direction", "site_out"):
-        raise ValueError(f"group_by must be 'direction' or 'site_out', got {group_by!r}")
     ok = [r for r in rows if r.ok]
     if not ok:
         raise NoSuccessfulRows("no successful rows to summarize")
-    key = (lambda r: r.direction) if group_by == "direction" else (lambda r: r.site_out)
-    return summarize_groups((key(r), metric_values(r)) for r in ok)
+    return summarize_groups(
+        (group_key(r.site_in, r.site_out, group_by), metric_values(r)) for r in ok
+    )
 
 
 # ------------------------------------------------------------------ reports

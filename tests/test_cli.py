@@ -222,3 +222,100 @@ def test_env_default_used_without_flag(volume_pair, capsys, monkeypatch):
 @settings(max_examples=120, deadline=None)
 def test_exit_codes_are_always_in_contract(argv):
     assert run(argv) in (0, 1, 2)
+
+
+@pytest.fixture()
+def synth_manifest(tmp_path):
+    from harmbench.synth import write_synthetic_dataset
+
+    return write_synthetic_dataset(tmp_path / "data", sites=2, n=4, seed=3, size=24)
+
+
+@pytest.mark.parametrize("setting", [
+    ["--tol", "0.7"],
+    ["--tol", "0"],
+    ["--bins", "-3"],
+    ["--workers", "0"],
+    ["--labels", "1=GM,x"],
+    ["--window", "4"],
+    ["--bg-threshold", "nan"],
+])
+def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting):
+    # every volume is missing, so evaluating even one record would fail
+    # the batch with exit 2; exit 1 shows the setting was rejected first
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "id,input_path,target_path,pred_path,site_in,site_out\n"
+        "x,missing.nii,missing.nii,missing.nii,A,B\n"
+    )
+    results = tmp_path / "r.csv"
+    code = run(["evaluate", "--manifest", str(manifest), "--out", str(results), *setting])
+    assert code == 1
+    assert "error" in capsys.readouterr().err
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("HARMBENCH_WORKERS", "abc"),
+    ("HARMBENCH_WORKERS", "0"),
+    ("HARMBENCH_BINS", "many"),
+    ("HARMBENCH_BINS", "-3"),
+    ("HARMBENCH_BG_THRESHOLD", "abc"),
+    ("HARMBENCH_BG_THRESHOLD", "nan"),
+])
+def test_bad_env_value_is_usage_error(synth_manifest, capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert run(["evaluate", "--manifest", str(synth_manifest)]) == 1
+    assert value in capsys.readouterr().err
+
+
+def test_results_file_identical_across_worker_counts(synth_manifest, tmp_path, capsys):
+    one, three = tmp_path / "w1.csv", tmp_path / "w3.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(one), "--workers", "1"]) == 0
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(three), "--workers", "3"]) == 0
+    capsys.readouterr()
+    assert one.read_bytes() == three.read_bytes()
+
+
+def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
+    from harmbench.harness import load_manifest, read_rows_csv
+
+    mask = synth_manifest.parent / "seg.nii.gz"
+    plain, masked = tmp_path / "plain.csv", tmp_path / "masked.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(plain)]) == 0
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(masked),
+                "--fg-mask", str(mask)]) == 0
+    capsys.readouterr()
+    assert f"# fg_mask: {mask}\n" in masked.read_text()
+    assert "# foreground: explicit-mask\n" in masked.read_text()
+
+    rec = load_manifest(synth_manifest)[0]
+    code = run([
+        "wd", "--fg-mask", str(mask),
+        "--input", str(rec.input_path),
+        "--target", str(rec.target_path),
+        "--pred", str(rec.pred_path),
+    ])
+    assert code == 0
+    wd = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
+    keys = ("wd_it", "wd_ip", "wd_tp", "nwd_ip", "nwd_tp", "verdict")
+    masked_row, plain_row = (
+        next(r for r in read_rows_csv(path) if r["id"] == rec.id) for path in (masked, plain)
+    )
+    assert {k: masked_row[k] for k in keys} == {k: wd[k] for k in keys}
+    assert {k: plain_row[k] for k in keys} != {k: wd[k] for k in keys}
+
+
+def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results),
+                "--report", "csv"]) == 0
+    from_evaluate = capsys.readouterr().out
+    assert run(["report", "--in", str(results), "--format", "csv"]) == 0
+    from_report = capsys.readouterr().out
+
+    def table(text):
+        return [line for line in text.splitlines() if not line.startswith("#")]
+
+    assert table(from_report) == table(from_evaluate)
+    assert len(table(from_report)) > 1
