@@ -16,12 +16,10 @@ from .anatomy import ApReport, StructureVolume, anatomy_preservation, as_label_v
 from .distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
-    Histogram,
     coarsen,
     coarsen_jointly,
     extract_foreground,
     foreground_mask,
-    to_histogram,
 )
 from .harness import (
     EvalConfig,
@@ -47,8 +45,8 @@ __all__ = [
     "__version__",
     "errors",
     "ApReport", "StructureVolume", "anatomy_preservation", "as_label_volume", "structure_volumes",
-    "EmpiricalDistribution", "ForegroundPolicy", "Histogram", "coarsen", "coarsen_jointly",
-    "extract_foreground", "foreground_mask", "to_histogram",
+    "EmpiricalDistribution", "ForegroundPolicy", "coarsen", "coarsen_jointly",
+    "extract_foreground", "foreground_mask",
     "EvalConfig", "EvaluationRow", "MetricSummary", "SummaryTable", "TripletRecord",
     "emit_report", "evaluate_all", "format_mean_std", "load_manifest", "parse_report_json", "summarize",
     "NiftiHeader", "load_volume", "parse_header", "write_volume",

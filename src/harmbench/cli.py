@@ -7,9 +7,10 @@ for strict parsers).
 
 Config precedence is flag > environment variable > built-in default;
 the recognized variables are HARMBENCH_BG_THRESHOLD, HARMBENCH_BINS
-and HARMBENCH_WORKERS, parsed like the flag they default. Every setting
-is validated once, before any volume is read, and a bad flag or
-variable value is a usage error.
+and HARMBENCH_WORKERS, parsed and checked like the flag they default.
+Every setting is validated once, before any volume is read, and a bad
+flag or variable value is a usage error that names the flag or the
+variable.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .anatomy import as_label_volume
-from .distribution import DEFAULT_BINS, DEFAULT_EXACT_CAP, ForegroundPolicy
+from .distribution import ForegroundPolicy
 from .errors import HarmbenchError, NoSuccessfulRows
 from .harness import (
     METRIC_ORDER,
@@ -34,6 +35,7 @@ from .harness import (
     group_key,
     intensity_metrics,
     load_manifest,
+    read_meta,
     read_rows_csv,
     series_from_rows,
     summarize,
@@ -44,7 +46,6 @@ from .nifti import load_volume
 from .reference import SsimParams, paired_metrics
 from .stats import correlation_matrix
 from .synth import write_synthetic_dataset
-from .wasserstein import DEFAULT_VERDICT_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +84,6 @@ def _add_fg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--bg-threshold",
         type=float,
-        default=os.environ.get("HARMBENCH_BG_THRESHOLD") or 0.0,
         help="foreground keeps intensities strictly above this (default 0)",
     )
     p.add_argument("--fg-mask", type=Path, default=None,
@@ -98,15 +98,14 @@ class _ForceBinned(argparse.Action):
 
 
 def _add_wd_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_VERDICT_TOL)
+    p.add_argument("--tol", type=float)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--bins", type=int, action=_ForceBinned,
-                       default=os.environ.get("HARMBENCH_BINS") or DEFAULT_BINS,
                        help="force the binned distance with this many bins")
     group.add_argument("--exact", dest="wd_mode", action="store_const",
                        const="exact", default="auto",
                        help="force the exact distance regardless of sample count")
-    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
+    p.add_argument("--exact-cap", type=int,
                    help="auto mode switches to binning above this sample count")
 
 
@@ -131,23 +130,46 @@ def _add_ap_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ssim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=7, help="SSIM cubic window edge")
-    p.add_argument("--k1", type=float, default=0.01)
-    p.add_argument("--k2", type=float, default=0.03)
+    p.add_argument("--window", type=int, help="SSIM cubic window edge")
+    p.add_argument("--k1", type=float)
+    p.add_argument("--k2", type=float)
+
+
+# flag dest -> (the variable that defaults it, parser)
+_ENV_DEFAULTS = {
+    "bg_threshold": ("HARMBENCH_BG_THRESHOLD", float),
+    "bins": ("HARMBENCH_BINS", int),
+    "workers": ("HARMBENCH_WORKERS", int),
+}
+
+
+def _eval_config(settings: dict) -> EvalConfig:
+    """EvalConfig from parsed flag values; a flag left unset (None) keeps
+    the built-in default. Raises ValueError on a bad value."""
+    given = {k: v for k, v in settings.items() if v is not None}
+    fields = {f.name: given[f.name] for f in dataclasses.fields(EvalConfig) if f.name in given}
+    if "bg_threshold" in given:
+        fields["policy"] = ForegroundPolicy(threshold=given["bg_threshold"])
+    fields["ssim"] = SsimParams(**{k: given[k] for k in ("window", "k1", "k2") if k in given})
+    return EvalConfig(**fields)
 
 
 def _config(ns) -> EvalConfig:
     """The run's one EvalConfig, from whichever of its flags the
-    subcommand has. Settings are checked before the --fg-mask volume is
-    read; a bad one raises :class:`_UsageError`."""
+    subcommand has; an absent flag takes its variable's value, checked
+    on its own so that an error names the variable. Settings are checked
+    before the --fg-mask volume is read; a bad one raises _UsageError."""
     given = vars(ns)
-    fields = {f.name: given[f.name] for f in dataclasses.fields(EvalConfig) if f.name in given}
+    for dest, (var, parse) in _ENV_DEFAULTS.items():
+        raw = os.environ.get(var)
+        if raw and dest in given and given[dest] is None:
+            try:
+                given[dest] = parse(raw)
+                _eval_config({dest: given[dest]})
+            except ValueError as exc:
+                raise _UsageError(f"{var}={raw!r}: {exc}") from exc
     try:
-        if "bg_threshold" in given:
-            fields["policy"] = ForegroundPolicy(threshold=ns.bg_threshold)
-        if "window" in given:
-            fields["ssim"] = SsimParams(window=ns.window, k1=ns.k1, k2=ns.k2)
-        config = EvalConfig(**fields)
+        config = _eval_config(given)
     except ValueError as exc:
         raise _UsageError(exc) from exc
     if given.get("fg_mask"):
@@ -255,7 +277,7 @@ def _cmd_report(ns, config: EvalConfig) -> int:
     ok = [r for r in raw if r.get("status") == "ok"]
     if not ok:
         raise NoSuccessfulRows("results file has no successful rows")
-    meta = {"version": __version__}
+    meta = {"version": __version__, **read_meta(ns.in_path)}
     groups = [
         (group_key(r["site_in"], r["site_out"], ns.group_by),
          {m: float(r[m]) for m in METRIC_ORDER if (r.get(m) or "").strip()})
@@ -315,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="per-row results CSV")
     p.add_argument("--report", choices=["md", "markdown", "csv", "json"], default="md")
     p.add_argument("--group-by", choices=["direction", "site_out"], default="direction")
-    p.add_argument("--workers", type=int, default=os.environ.get("HARMBENCH_WORKERS") or 1)
+    p.add_argument("--workers", type=int)
     _add_ap_flags(p)
     _add_fg_flags(p)
     _add_wd_flags(p)

@@ -45,41 +45,45 @@ class ForegroundPolicy:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted intensity samples with positive weights summing to 1."""
+    """Sorted intensity samples with positive integer multiplicities."""
 
     values: np.ndarray
-    weights: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        counts = np.asarray(self.counts).reshape(-1)
         if values.size < 1:
             raise ValueError("distribution needs at least one sample")
-        if values.size != weights.size:
-            raise ValueError("values and weights must have equal length")
+        if values.size != counts.size:
+            raise ValueError("values and counts must have equal length")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         if values.size > 1 and np.any(np.diff(values) < 0):
             raise ValueError("values must be nondecreasing")
-        if np.any(weights <= 0) or not np.isfinite(weights).all():
-            raise ValueError("weights must be positive and finite")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
+        if np.any(counts <= 0):
+            raise ValueError("counts must be positive")
         object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "weights", _frozen_array(weights))
+        object.__setattr__(self, "counts", _frozen_array(counts))
 
     @classmethod
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "EmpiricalDistribution":
-        """Equal-weight distribution of the given sample multiset."""
+        """Unit-count distribution of the given sample multiset."""
         values = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
-        if values.size < 1:
-            raise ValueError("distribution needs at least one sample")
-        return cls(values, np.full(values.size, 1.0 / values.size))
+        return cls(values, np.ones(values.size, dtype=np.int64))
 
     @property
     def n(self) -> int:
+        """Number of support points (entries of ``values``), not the total count."""
         return int(self.values.size)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Probability of each support point, ``counts / counts.sum()``."""
+        return self.counts / self.counts.sum()
 
     @property
     def support_min(self) -> float:
@@ -93,37 +97,6 @@ class EmpiricalDistribution:
         if not isinstance(other, EmpiricalDistribution):
             return NotImplemented
         return np.array_equal(self.values, other.values) and np.array_equal(
-            self.weights, other.weights
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Weighted counts over strictly ascending bin edges."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64).reshape(-1)
-        counts = np.asarray(self.counts, dtype=np.float64).reshape(-1)
-        if edges.size != counts.size + 1:
-            raise ValueError("need exactly one more edge than count")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly ascending")
-        if np.any(counts < 0) or not float(np.sum(counts)) > 0:
-            raise ValueError("counts must be nonnegative with positive total")
-        object.__setattr__(self, "edges", _frozen_array(edges))
-        object.__setattr__(self, "counts", _frozen_array(counts))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return np.array_equal(self.edges, other.edges) and np.array_equal(
             self.counts, other.counts
         )
 
@@ -143,7 +116,7 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
 
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
-    """Sorted multiset of foreground intensities with uniform weights."""
+    """Sorted multiset of foreground intensities, one count per voxel."""
     keep = foreground_mask(grid, policy)
     if not keep.any():
         raise EmptyForeground(
@@ -152,14 +125,15 @@ def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDi
     return EmpiricalDistribution.from_samples(grid.values[keep])
 
 
-def to_histogram(
+def coarsen(
     dist: EmpiricalDistribution, bins: int, value_range: tuple[float, float]
-) -> Histogram:
-    """Bin a distribution into ``bins`` half-open bins over ``value_range``.
+) -> EmpiricalDistribution:
+    """Binned approximation of ``dist``: each bin's count at its center.
 
-    Samples outside the range are clamped into the boundary bins; the
-    final bin is closed so the upper edge belongs to it. Total weight is
-    conserved.
+    Bins are half-open over ``value_range`` and the last one is closed,
+    so the upper edge belongs to it; samples outside the range are
+    clamped into the boundary bins. Empty bins are dropped and the total
+    count is conserved exactly.
     """
     lo, hi = float(value_range[0]), float(value_range[1])
     if bins < 1:
@@ -167,19 +141,11 @@ def to_histogram(
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise InvalidRange(f"need finite lo < hi, got ({lo!r}, {hi!r})")
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.searchsorted(edges, dist.values, side="right") - 1
-    idx = np.clip(idx, 0, bins - 1)
-    counts = np.bincount(idx, weights=dist.weights, minlength=bins)
-    return Histogram(edges, counts)
-
-
-def coarsen(
-    dist: EmpiricalDistribution, bins: int, value_range: tuple[float, float]
-) -> EmpiricalDistribution:
-    """Binned approximation of ``dist``: mass concentrated at bin centers."""
-    hist = to_histogram(dist, bins, value_range)
-    keep = hist.counts > 0
-    return EmpiricalDistribution(hist.centers[keep], hist.counts[keep])
+    idx = np.clip(np.searchsorted(edges, dist.values, side="right") - 1, 0, bins - 1)
+    # values are sorted, so each occupied bin is one run of idx
+    occupied, first = np.unique(idx, return_index=True)
+    centers = 0.5 * (edges[occupied] + edges[occupied + 1])
+    return EmpiricalDistribution(centers, np.add.reduceat(dist.counts, first))
 
 
 def coarsen_jointly(

@@ -39,7 +39,7 @@ class EmptyForeground(HarmbenchError):
 
 
 class InvalidRange(HarmbenchError):
-    """Histogram range or bin count is unusable."""
+    """Binning range or bin count is unusable."""
 
 
 # ---------------------------------------------------------- intensity metric

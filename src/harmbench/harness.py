@@ -546,6 +546,17 @@ def write_rows_csv(rows: Sequence[EvaluationRow], path: str | Path, meta: dict |
     Path(path).write_bytes(rows_to_csv_bytes(rows, meta))
 
 
+def read_meta(path: str | Path) -> dict[str, str]:
+    """The ``# key: value`` lines heading a results CSV, values as text."""
+    meta = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.startswith("#"):
+            break
+        key, _, value = line[1:].partition(":")
+        meta[key.strip()] = value.strip()
+    return meta
+
+
 def read_rows_csv(path: str | Path) -> list[dict[str, str]]:
     """Read a per-row results CSV back as raw string dicts."""
     text = Path(path).read_text(encoding="utf-8")

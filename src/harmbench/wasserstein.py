@@ -1,12 +1,12 @@
 """Exact 1-D Wasserstein distance and the normalized harmonization pair.
 
-The order-1 distance between two weighted empirical distributions is
-the integral of the absolute difference of their quantile functions.
-Both quantile functions are step functions, so merging the two
-cumulative-weight breakpoint sequences gives segments on which the
-integrand is constant and the integral is a finite sum. That makes the
-distance exact up to float rounding, symmetric by construction, and
-zero exactly when the two weighted multisets coincide.
+The order-1 distance between two empirical distributions is the
+integral of the absolute difference of their quantile functions. It is
+computed from exact integer quantile breakpoints: the cumulative counts
+k/N_a and j/N_b scaled by N_a·N_b, that is k·N_b and j·N_a. Merging
+them gives segments of constant integrand, so the distance is a finite
+sum, exact up to the rounding of one dot product, symmetric by
+construction, and exactly zero when the two distributions are equal.
 
 The normalized pair divides the prediction's distance to the input and
 to the target by the input-to-target distance, which anchors the scale:
@@ -29,16 +29,17 @@ NORMALIZER_EPS_FACTOR = 1e-9  # times the joint input/target intensity range
 
 
 def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Order-1 Wasserstein distance between two empirical distributions."""
-    qa = np.cumsum(a.weights)
-    qb = np.cumsum(b.weights)
-    q = np.sort(np.concatenate([qa, qb]))
-    lo = np.concatenate(([0.0], q[:-1]))
-    widths = q - lo
-    mid = 0.5 * (lo + q)
-    ia = np.minimum(np.searchsorted(qa, mid, side="left"), a.n - 1)
-    ib = np.minimum(np.searchsorted(qb, mid, side="left"), b.n - 1)
-    return float(np.sum(widths * np.abs(a.values[ia] - b.values[ib])))
+    """Order-1 Wasserstein distance between two empirical distributions;
+    the int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹ samples each)."""
+    ca = np.cumsum(a.counts)
+    cb = np.cumsum(b.counts)
+    n_a, n_b = int(ca[-1]), int(cb[-1])
+    qa, qb = ca * n_b, cb * n_a  # integer breakpoints on the common scale N_a·N_b
+    q = np.sort(np.concatenate([qa, qb]), kind="stable")  # merges two sorted runs
+    widths = np.diff(q, prepend=0)
+    ia = np.searchsorted(qa, q, side="left")
+    ib = np.searchsorted(qb, q, side="left")
+    return float(np.dot(widths, np.abs(a.values[ia] - b.values[ib]))) / (n_a * n_b)
 
 
 @dataclass(frozen=True)

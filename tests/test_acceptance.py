@@ -111,9 +111,9 @@ def test_scale_invariance():
         c = float(rng.uniform(0.01, 100.0))
         base = nwd(i, t, p)
         scaled = nwd(
-            EmpiricalDistribution(i.values * c, i.weights),
-            EmpiricalDistribution(t.values * c, t.weights),
-            EmpiricalDistribution(p.values * c, p.weights),
+            EmpiricalDistribution(i.values * c, i.counts),
+            EmpiricalDistribution(t.values * c, t.counts),
+            EmpiricalDistribution(p.values * c, p.counts),
         )
         worst = max(
             worst,

@@ -1,4 +1,4 @@
-"""Foreground extraction and histogram binning."""
+"""Foreground extraction and binning."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from harmbench.distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
-    Histogram,
     coarsen,
     coarsen_jointly,
     extract_foreground,
     foreground_mask,
-    to_histogram,
 )
 from harmbench.errors import DimsMismatch, EmptyForeground, InvalidRange
 from harmbench.volume import LabelVolume, VoxelGrid
@@ -30,6 +28,7 @@ def _grid(values, dims=None):
 def test_threshold_extraction_definition():
     dist = extract_foreground(_grid([0, 0, 2, 3]), ForegroundPolicy())
     np.testing.assert_array_equal(dist.values, [2.0, 3.0])
+    np.testing.assert_array_equal(dist.counts, [1, 1])
     np.testing.assert_array_equal(dist.weights, [0.5, 0.5])
 
 
@@ -89,86 +88,87 @@ def test_monotone_maps_commute_with_extraction(f):
 
 
 def test_distribution_invariants_enforced():
-    with pytest.raises(ValueError):
-        EmpiricalDistribution([2.0, 1.0], [0.5, 0.5])  # unsorted
-    with pytest.raises(ValueError):
-        EmpiricalDistribution([1.0, 2.0], [0.5, 0.6])  # sum != 1
-    with pytest.raises(ValueError):
-        EmpiricalDistribution([1.0], [0.0, 1.0])  # length mismatch
+    with pytest.raises(ValueError, match="nondecreasing"):
+        EmpiricalDistribution([2.0, 1.0], [1, 1])  # unsorted
+    with pytest.raises(ValueError, match="positive"):
+        EmpiricalDistribution([1.0, 2.0], [1, 0])  # zero count
+    with pytest.raises(ValueError, match="integers"):
+        EmpiricalDistribution([1.0, 2.0], [0.5, 0.5])  # float counts
+    with pytest.raises(ValueError, match="equal length"):
+        EmpiricalDistribution([1.0], [1, 1])  # length mismatch
     with pytest.raises(ValueError):
         EmpiricalDistribution([], [])
 
 
-# ------------------------------------------------------------- histograms
+# ---------------------------------------------------------------- binning
 
 
 def test_histogram_two_bins():
-    dist = EmpiricalDistribution([0.0, 1.0], [0.5, 0.5])
-    hist = to_histogram(dist, 2, (0.0, 2.0))
-    np.testing.assert_array_equal(hist.counts, [0.5, 0.5])
-    np.testing.assert_array_equal(hist.edges, [0.0, 1.0, 2.0])
+    dist = EmpiricalDistribution([0.0, 1.0], [1, 1])
+    out = coarsen(dist, 2, (0.0, 2.0))
+    np.testing.assert_array_equal(out.counts, [1, 1])
+    np.testing.assert_array_equal(out.values, [0.5, 1.5])
 
 
 def test_histogram_single_sample_single_nonzero_bin():
-    dist = EmpiricalDistribution([3.3], [1.0])
+    dist = EmpiricalDistribution([3.3], [1])
     for bins in (1, 5, 64):
-        hist = to_histogram(dist, bins, (0.0, 10.0))
-        assert np.count_nonzero(hist.counts) == 1
-        assert float(hist.counts.sum()) == 1.0
+        out = coarsen(dist, bins, (0.0, 10.0))
+        assert out.n == 1
+        np.testing.assert_array_equal(out.counts, [1])
 
 
 def test_histogram_upper_edge_belongs_to_last_bin():
-    dist = EmpiricalDistribution([0.0, 2.0], [0.5, 0.5])
-    hist = to_histogram(dist, 4, (0.0, 2.0))
-    assert hist.counts[-1] == 0.5
+    dist = EmpiricalDistribution([0.0, 2.0], [1, 1])
+    out = coarsen(dist, 4, (0.0, 2.0))
+    np.testing.assert_array_equal(out.values, [0.25, 1.75])
+    np.testing.assert_array_equal(out.counts, [1, 1])
 
 
 def test_histogram_clamps_outliers_to_boundary_bins():
-    dist = EmpiricalDistribution([-10.0, 0.5, 99.0], [1 / 3] * 3)
-    hist = to_histogram(dist, 2, (0.0, 1.0))
+    dist = EmpiricalDistribution([-10.0, 0.5, 99.0], [1, 1, 1])
+    out = coarsen(dist, 2, (0.0, 1.0))
     # -10 clamps into bin [0, 0.5); 0.5 opens bin [0.5, 1.0); 99 clamps into it
-    np.testing.assert_allclose(hist.counts, [1 / 3, 2 / 3])
+    np.testing.assert_array_equal(out.values, [0.25, 0.75])
+    np.testing.assert_array_equal(out.counts, [1, 2])
 
 
 def test_histogram_uniform_counts_near_uniform():
     rng = np.random.default_rng(123)
     dist = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 1000))
-    hist = to_histogram(dist, 10, (0.0, 1.0))
-    assert np.all(np.abs(hist.counts - 0.1) < 0.05)
+    out = coarsen(dist, 10, (0.0, 1.0))
+    assert out.n == 10
+    assert np.all(np.abs(out.counts - 100) < 50)
 
 
 def test_histogram_matches_direct_counting_oracle():
     rng = np.random.default_rng(77)
     samples = rng.normal(5, 2, 400)
     dist = EmpiricalDistribution.from_samples(samples)
-    hist = to_histogram(dist, 16, (0.0, 10.0))
-    want = histogram_direct(dist.values, dist.weights, 16, 0.0, 10.0)
-    np.testing.assert_allclose(hist.counts, want, atol=1e-12)
+    out = coarsen(dist, 16, (0.0, 10.0))
+    want = np.array(histogram_direct(dist.values, dist.counts, 16, 0.0, 10.0))
+    centers = np.linspace(0.0, 10.0, 17)[:-1] + 10.0 / 32
+    np.testing.assert_array_equal(out.counts, want[want > 0])
+    np.testing.assert_allclose(out.values, centers[want > 0], atol=1e-12)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=200), st.integers(1, 64))
 @settings(max_examples=150)
 def test_histogram_conserves_weight(samples, bins):
     dist = EmpiricalDistribution.from_samples(samples)
-    hist = to_histogram(dist, bins, (-60.0, 60.0))
-    assert abs(float(hist.counts.sum()) - 1.0) <= 1e-12
+    out = coarsen(dist, bins, (-60.0, 60.0))
+    assert out.counts.dtype == np.int64
+    assert int(out.counts.sum()) == dist.n == len(samples)
 
 
 def test_invalid_ranges():
-    dist = EmpiricalDistribution([1.0], [1.0])
+    dist = EmpiricalDistribution([1.0], [1])
     with pytest.raises(InvalidRange):
-        to_histogram(dist, 0, (0.0, 1.0))
+        coarsen(dist, 0, (0.0, 1.0))
     with pytest.raises(InvalidRange):
-        to_histogram(dist, 4, (1.0, 1.0))
+        coarsen(dist, 4, (1.0, 1.0))
     with pytest.raises(InvalidRange):
-        to_histogram(dist, 4, (2.0, 1.0))
-
-
-def test_histogram_type_invariants():
-    with pytest.raises(ValueError):
-        Histogram([0.0, 0.0, 1.0], [0.5, 0.5])  # non-ascending edges
-    with pytest.raises(ValueError):
-        Histogram([0.0, 1.0], [0.0])  # zero total
+        coarsen(dist, 4, (2.0, 1.0))
 
 
 # ------------------------------------------------------------ cap policy
@@ -178,7 +178,7 @@ def test_coarsen_concentrates_mass_at_centers():
     dist = EmpiricalDistribution.from_samples([0.1, 0.1, 0.9])
     out = coarsen(dist, 2, (0.0, 1.0))
     np.testing.assert_array_equal(out.values, [0.25, 0.75])
-    np.testing.assert_allclose(out.weights, [2 / 3, 1 / 3])
+    np.testing.assert_array_equal(out.counts, [2, 1])
 
 
 def test_coarsen_jointly_auto_respects_cap():

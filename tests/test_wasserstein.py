@@ -23,6 +23,16 @@ def test_point_mass_translation():
     assert wasserstein_1d(_u([0.0]), _u([5.0])) == 5.0
 
 
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_repeated_multiset_is_exactly_zero(k):
+    # a sample set repeated k times is the same distribution, so no
+    # rounding may be left over
+    x = _u(np.random.default_rng(k).normal(100.0, 20.0, 10 ** 5))
+    repeated = _u(np.repeat(x.values, k))
+    assert wasserstein_1d(x, repeated) == 0.0
+    assert wasserstein_1d(repeated, x) == 0.0
+
+
 def test_small_fixture_matches_brute_force_matching():
     a, b = [0, 0, 4], [1, 3, 5]
     want = wd_matching(a, b)  # enumerates all 3! pairings -> 5/3
@@ -31,8 +41,8 @@ def test_small_fixture_matches_brute_force_matching():
 
 
 def test_weighted_vs_expanded_multiset():
-    # (1,1,3) uniform == values (1,3) with weights (2/3, 1/3)
-    compact = EmpiricalDistribution([1.0, 3.0], [2 / 3, 1 / 3])
+    # (1,1,3) uniform == values (1,3) with counts (2, 1)
+    compact = EmpiricalDistribution([1.0, 3.0], [2, 1])
     expanded = _u([1, 1, 3])
     other = _u([0, 2, 4])
     assert wasserstein_1d(compact, other) == pytest.approx(
@@ -84,8 +94,8 @@ def test_triangle_inequality(a, b, c):
 @given(_dist(max_size=20), _dist(max_size=20), st.floats(-50, 50, allow_nan=False))
 @settings(max_examples=150, deadline=None)
 def test_translating_both_changes_nothing(a, b, c):
-    shifted_a = EmpiricalDistribution(a.values + c, a.weights)
-    shifted_b = EmpiricalDistribution(b.values + c, b.weights)
+    shifted_a = EmpiricalDistribution(a.values + c, a.counts)
+    shifted_b = EmpiricalDistribution(b.values + c, b.counts)
     assert wasserstein_1d(shifted_a, shifted_b) == pytest.approx(
         wasserstein_1d(a, b), abs=1e-9
     )
@@ -164,9 +174,9 @@ def test_scale_invariance_of_normalized_pair(seed, scale):
     p = _u(rng.uniform(0, 12, 25))
     base = nwd(i, t, p)
     scaled = nwd(
-        EmpiricalDistribution(i.values * scale, i.weights),
-        EmpiricalDistribution(t.values * scale, t.weights),
-        EmpiricalDistribution(p.values * scale, p.weights),
+        EmpiricalDistribution(i.values * scale, i.counts),
+        EmpiricalDistribution(t.values * scale, t.counts),
+        EmpiricalDistribution(p.values * scale, p.counts),
     )
     assert scaled.nwd_ip == pytest.approx(base.nwd_ip, abs=1e-9)
     assert scaled.nwd_tp == pytest.approx(base.nwd_tp, abs=1e-9)
