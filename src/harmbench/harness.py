@@ -546,14 +546,19 @@ def write_rows_csv(rows: Sequence[EvaluationRow], path: str | Path, meta: dict |
     Path(path).write_bytes(rows_to_csv_bytes(rows, meta))
 
 
-def read_meta(path: str | Path) -> dict[str, str]:
-    """The ``# key: value`` lines heading a results CSV, values as text."""
+def read_meta(path: str | Path) -> dict:
+    """The ``# key: value`` lines heading a results CSV. The settings of
+    ``EvalConfig.to_meta`` get back the types they were written with;
+    any other value stays text."""
+    types = {k: type(v) for k, v in EvalConfig().to_meta().items()}
     meta = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.startswith("#"):
             break
         key, _, value = line[1:].partition(":")
-        meta[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        kind = types.get(key, str)
+        meta[key] = value == "True" if kind is bool else kind(value)
     return meta
 
 

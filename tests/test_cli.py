@@ -1,11 +1,16 @@
 """Command line surface: subcommands, exit codes, JSON mode."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import harmbench
 from harmbench.cli import run
 from harmbench.nifti import write_volume
 from harmbench.volume import VoxelGrid
@@ -320,3 +325,29 @@ def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):
     assert from_report == from_evaluate
     assert "# bins: " in from_report
     assert len([line for line in from_report.splitlines() if not line.startswith("#")]) > 1
+
+
+def test_report_reproduces_evaluate_json(synth_manifest, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results),
+                "--report", "json"]) == 0
+    from_evaluate = capsys.readouterr().out
+    assert run(["report", "--in", str(results), "--json"]) == 0
+    from_report = capsys.readouterr().out
+
+    # the whole output, metadata typed as evaluate writes it
+    assert from_report == from_evaluate
+    meta = json.loads(from_report)["meta"]
+    assert meta["bins"] == 4096 and meta["weighted_ap"] is False
+    assert isinstance(meta["tol"], float)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy took about half a second of every CLI start
+    src = str(Path(harmbench.__file__).resolve().parent.parent)
+    code = "import sys, harmbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -76,10 +76,11 @@ def test_constant_volumes_hit_closed_form_ssim():
     assert row.ssim == pytest.approx(want, abs=1e-9)
 
 
-def _valid(grid, fg):
+def _valid(grid, fg, window=7):
+    r = window // 2
     nx, ny, nz = grid.dims
     interior = np.zeros(grid.dims, dtype=bool)
-    interior[3 : nx - 3, 3 : ny - 3, 3 : nz - 3] = True
+    interior[r : nx - r, r : ny - r, r : nz - r] = True
     return interior & fg.reshape(grid.dims, order="F")
 
 
@@ -193,3 +194,69 @@ def test_custom_window_matches_oracle():
         params.c2,
     )
     assert row.ssim == pytest.approx(want, abs=1e-6)
+
+
+# The SSIM filter reads only the bounding box of the valid window centres
+# grown by half a window; these layouts put that box in different places
+# of a grid several windows wide.
+CROP_DIMS = (26, 28, 30)
+
+
+def _corners(r, dims):
+    # two small blobs in opposite corners: the box spans the whole interior
+    fg = np.zeros(dims, dtype=bool)
+    fg[: r + 2, : r + 2, : r + 2] = True
+    fg[-r - 2 :, -r - 2 :, -r - 2 :] = True
+    return fg
+
+
+def _face_points(r, dims):
+    # one valid centre at index r and one at n-1-r on every axis
+    fg = np.zeros(dims, dtype=bool)
+    mid = tuple(n // 2 for n in dims)
+    for axis, n in enumerate(dims):
+        for edge in (r, n - 1 - r):
+            point = list(mid)
+            point[axis] = edge
+            fg[tuple(point)] = True
+    return fg
+
+
+def _single_centre(r, dims):
+    # one interior voxel; everything else in the foreground is margin,
+    # where no full window fits
+    fg = np.ones(dims, dtype=bool)
+    fg[tuple(slice(r, n - r) for n in dims)] = False
+    fg[r + 1, dims[1] // 2, dims[2] - 2 - r] = True
+    return fg
+
+
+def _sparse_pair(fg, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (np.where(fg, rng.uniform(0.5, 10.0, fg.shape), 0.0) for _ in range(2))
+    return (_grid(v.ravel(order="F"), fg.shape) for v in (a, b))
+
+
+@pytest.mark.parametrize("window", [3, 7, 9])
+@pytest.mark.parametrize("layout", [_corners, _face_points, _single_centre])
+def test_cropped_ssim_matches_per_window_oracle(layout, window):
+    r = window // 2
+    pred, gt = _sparse_pair(layout(r, CROP_DIMS), seed=window)
+    params = SsimParams(window=window)
+    row = paired_metrics(pred, gt, params=params)
+    a, b, fg = _normalized_and_fg(pred, gt)
+    want = ssim_per_window(
+        a.reshape(pred.dims, order="F"),
+        b.reshape(pred.dims, order="F"),
+        _valid(pred, fg, window),
+        window,
+        params.c1,
+        params.c2,
+    )
+    assert row.ssim == pytest.approx(want, abs=1e-6)
+
+
+def test_cropped_ssim_identity_and_symmetry_exact():
+    pred, gt = _sparse_pair(_corners(3, CROP_DIMS), seed=11)
+    assert paired_metrics(pred, pred).ssim == 1.0
+    assert paired_metrics(pred, gt).ssim == paired_metrics(gt, pred).ssim
