@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCommonStructures, ZeroInputVolume
-from .volume import LabelVolume, VoxelGrid, default_legend
+from .volume import LabelVolume, VoxelGrid
+
+_NOT_LABELS = "segmentation voxels must be nonnegative integers"
 
 
 @dataclass(frozen=True)
@@ -41,34 +43,31 @@ def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> La
     """Reinterpret an integer-valued grid as a segmentation.
 
     Without a legend every distinct nonzero label becomes ``label-<k>``.
+    A legend must name every nonzero label present; names of labels
+    absent from the volume are dropped.
     """
     if grid.channel_count != 1:
         raise ValueError("label volumes are single-channel")
-    rounded = np.rint(grid.values)
-    if not np.array_equal(rounded, grid.values) or (rounded < 0).any():
-        raise ValueError("segmentation voxels must be nonnegative integers")
-    labels = rounded.astype(np.int64)
+    values = grid.values
+    # Range first: casting a value outside int64 has no defined result.
+    if values.min() < 0 or values.max() >= 2.0 ** 63:
+        raise ValueError(_NOT_LABELS)
+    labels = values.astype(np.int64)
+    if not np.array_equal(labels, values):
+        raise ValueError(_NOT_LABELS)
+    seg = LabelVolume(grid.dims, grid.spacing, labels)
     if legend is None:
-        legend = default_legend(labels)
-    else:
-        present = {int(v) for v in np.unique(labels) if v != 0}
-        named = set(legend)
-        unnamed = sorted(present - named)
-        if unnamed:
-            raise ValueError(f"labels {unnamed} present in volume but absent from legend")
-        legend = {k: v for k, v in legend.items() if k in present}
-    return LabelVolume(grid.dims, grid.spacing, labels, legend)
+        return seg
+    return seg.renamed({k: v for k, v in legend.items() if k in seg.voxel_counts})
 
 
 def structure_volumes(seg: LabelVolume) -> list[StructureVolume]:
     """Physical volume of every legend structure, including empty ones."""
-    if seg.legend:
-        counts = np.bincount(seg.labels, minlength=max(seg.legend) + 1)
-    else:
-        counts = np.bincount(seg.labels)
     voxel = seg.voxel_volume_mm3
     return [
-        StructureVolume(label=label, name=name, volume_mm3=float(counts[label]) * voxel)
+        StructureVolume(
+            label=label, name=name, volume_mm3=float(seg.voxel_counts.get(label, 0)) * voxel
+        )
         for label, name in sorted(seg.legend.items())
     ]
 

@@ -35,6 +35,7 @@ from .harness import (
     group_key,
     intensity_metrics,
     load_manifest,
+    load_segmentation,
     read_meta,
     read_rows_csv,
     series_from_rows,
@@ -201,7 +202,9 @@ def _cmd_wd(ns, config: EvalConfig) -> int:
 
 
 def _cmd_ap(ns, config: EvalConfig) -> int:
-    report = anatomy_metrics(load_volume(ns.seg_input), load_volume(ns.seg_pred), config)
+    report = anatomy_metrics(
+        load_segmentation(ns.seg_input, config), load_segmentation(ns.seg_pred, config), config
+    )
     if ns.json:
         _print_json({"per_structure": report.per_structure, "mean_ap": report.mean_ap})
     else:

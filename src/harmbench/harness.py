@@ -10,10 +10,14 @@ count and sentinel count carried alongside.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,7 +42,7 @@ from .errors import (
 from .nifti import load_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
 from .stats import MetricSeries, mean_std, sentinel_count
-from .volume import VoxelGrid
+from .volume import LabelVolume, VoxelGrid
 from .wasserstein import (
     DEFAULT_VERDICT_TOL,
     HarmonizationVerdict,
@@ -60,6 +64,9 @@ DISPLAY_NAMES = {
     "nwd_tp": "nWD(t,p)",
     "ap": "AP(i,p)",
 }
+
+# What one record may fail with; anything else aborts the batch.
+_RECORD_ERRORS = (HarmbenchError, OSError, ValueError)
 
 ROW_COLUMNS = (
     "id", "channel", "site_in", "site_out", "status",
@@ -235,8 +242,7 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
 # --------------------------------------------------------------- evaluation
 
 
-def _load_single_channel(path: Path, channel: int | None) -> VoxelGrid:
-    grid = load_volume(path)
+def _single_channel(grid: VoxelGrid, path: Path, channel: int | None) -> VoxelGrid:
     if channel is not None:
         return grid.channel(channel)
     if grid.channel_count != 1:
@@ -244,6 +250,11 @@ def _load_single_channel(path: Path, channel: int | None) -> VoxelGrid:
             f"{path} has {grid.channel_count} channels; manifest rows must set 'channel'"
         )
     return grid
+
+
+def load_segmentation(path: Path, config: EvalConfig) -> LabelVolume:
+    """The segmentation in ``path``, named by ``config.labels``."""
+    return as_label_volume(load_volume(path), config.labels)
 
 
 def intensity_metrics(
@@ -258,20 +269,96 @@ def intensity_metrics(
     return pair, classify(pair, config.tol)
 
 
-def anatomy_metrics(seg_input: VoxelGrid, seg_pred: VoxelGrid, config: EvalConfig) -> ApReport:
+def anatomy_metrics(seg_input: LabelVolume, seg_pred: LabelVolume, config: EvalConfig) -> ApReport:
     """Anatomy preservation between the input's and the prediction's segmentation."""
-    return anatomy_preservation(
-        as_label_volume(seg_input, config.labels),
-        as_label_volume(seg_pred, config.labels),
-        weighted=config.weighted_ap,
-    )
+    return anatomy_preservation(seg_input, seg_pred, weighted=config.weighted_ap)
 
 
-def _evaluate_record(rec: TripletRecord, config: EvalConfig) -> EvaluationRow:
+class _SharedFiles:
+    """One run's reads of the files its manifest names more than once.
+
+    What a record takes from a file is a product: the loaded grid for an
+    intensity column, the label volume for a ``seg_*`` column. A product
+    named more than once is made once, by the first record that asks,
+    while the others wait for it, and is dropped after the last record
+    naming it finishes. A failure is kept and raised to every one of
+    them, so they all get the same status. A product named once is made
+    by its record as if there were no memo.
+    """
+
+    def __init__(self, records: Sequence[TripletRecord], config: EvalConfig):
+        self._config = config
+        uses = Counter()
+        # Each product is made from the spelling of its path in the first
+        # row naming it, so error messages do not depend on thread timing.
+        self._path: dict[tuple[str, str], Path] = {}
+        for rec in records:
+            for key, path in self._named(rec):
+                uses[key] += 1
+                self._path.setdefault(key, path)
+        self._left = {key: n for key, n in uses.items() if n > 1}
+        self._made: dict[tuple[str, str], Future] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _named(rec: TripletRecord):
+        """((kind, resolved path), path) of every file ``rec`` names."""
+        for kind, paths in (
+            ("grid", (rec.input_path, rec.target_path, rec.pred_path, rec.gt_path)),
+            ("seg", (rec.seg_input_path, rec.seg_pred_path)),
+        ):
+            for path in paths:
+                if path is not None:
+                    yield (kind, os.path.realpath(path)), path
+
+    def grid(self, path: Path) -> VoxelGrid:
+        return self._get("grid", path, load_volume)
+
+    def segmentation(self, path: Path) -> LabelVolume:
+        return self._get("seg", path, lambda p: load_segmentation(p, self._config))
+
+    def _get(self, kind: str, path: Path, make):
+        key = (kind, os.path.realpath(path))
+        with self._lock:
+            if key not in self._left:
+                future = None
+            else:
+                owner = key not in self._made
+                future = self._made.setdefault(key, Future())
+        if future is None:
+            return make(path)
+        if owner:
+            try:
+                future.set_result(make(self._path[key]))
+            except _RECORD_ERRORS as exc:
+                # Kept without its frames, which hold the file's bytes.
+                future.set_exception(exc.with_traceback(None))
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+        try:
+            return future.result()
+        except _RECORD_ERRORS as exc:
+            # A copy each time: raising one instance again and again would
+            # chain every record's frames onto its traceback.
+            raise copy.copy(exc) from None
+
+    def release(self, rec: TripletRecord) -> None:
+        """Count off ``rec``'s uses, dropping each product after its last."""
+        with self._lock:
+            for key, _ in self._named(rec):
+                if key in self._left:
+                    self._left[key] -= 1
+                    if not self._left[key]:
+                        del self._left[key]
+                        self._made.pop(key, None)
+
+
+def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles) -> EvaluationRow:
     key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
     try:
         grids = tuple(
-            _load_single_channel(path, rec.channel)
+            _single_channel(files.grid(path), path, rec.channel)
             for path in (rec.input_path, rec.target_path, rec.pred_path)
         )
         pair, verdict = intensity_metrics(grids, config)
@@ -283,31 +370,41 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig) -> EvaluationRow:
             if not (rec.seg_input_path and rec.seg_pred_path):
                 raise ValueError("seg_input_path and seg_pred_path must both be set")
             ap = anatomy_metrics(
-                load_volume(rec.seg_input_path), load_volume(rec.seg_pred_path), config
+                files.segmentation(rec.seg_input_path),
+                files.segmentation(rec.seg_pred_path),
+                config,
             )
 
         reference = None
         if rec.gt_path:
-            grid_gt = _load_single_channel(rec.gt_path, rec.channel)
+            grid_gt = _single_channel(files.grid(rec.gt_path), rec.gt_path, rec.channel)
             reference = paired_metrics(grid_p, grid_gt, config.policy, config.ssim)
 
         return EvaluationRow(
             **key, status="ok", wd=pair, verdict=verdict, ap=ap, reference=reference
         )
-    except (HarmbenchError, OSError, ValueError) as exc:
+    except _RECORD_ERRORS as exc:
         return EvaluationRow(**key, status=f"error: {type(exc).__name__}: {exc}")
 
 
 def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConfig()) -> list[EvaluationRow]:
     """Evaluate every record on ``config.workers`` threads; row order
-    follows the manifest.
+    follows the manifest. A file named by several rows is read once.
 
     Per-record failures land in the row status. Raises
     :class:`NoSuccessfulRows` (carrying the failed rows) only when every
     single record failed.
     """
+    files = _SharedFiles(records, config)
+
+    def run(rec: TripletRecord) -> EvaluationRow:
+        try:
+            return _evaluate_record(rec, config, files)
+        finally:
+            files.release(rec)
+
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        rows = list(pool.map(lambda r: _evaluate_record(r, config), records))
+        rows = list(pool.map(run, records))
     if records and not any(r.ok for r in rows):
         raise NoSuccessfulRows(
             f"all {len(rows)} records failed; first: {rows[0].status}", rows=rows

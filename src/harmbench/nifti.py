@@ -206,10 +206,10 @@ def load_volume(path: str | Path) -> VoxelGrid:
             log.info("%s: applying scl_slope=%r scl_inter=%r", path, slope, inter)
         values = values * slope + inter
 
-    if not np.isfinite(values).all():
-        raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity")
-
-    return VoxelGrid(dims, _spacing(hdr), values, channel_count=channels)
+    try:
+        return VoxelGrid(dims, _spacing(hdr), values, channel_count=channels)
+    except NonFiniteVoxel:
+        raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity") from None
 
 
 def write_volume(grid: VoxelGrid, path: str | Path) -> None:

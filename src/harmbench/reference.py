@@ -71,23 +71,32 @@ def _box_mean(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def _ssim_mean(
-    x: np.ndarray, y: np.ndarray, valid: np.ndarray, params: SsimParams
+    x: np.ndarray,
+    y: np.ndarray,
+    core: np.ndarray,
+    lo: float,
+    scale: float,
+    params: SsimParams,
 ) -> float:
-    """Mean local SSIM over the windows centred on ``valid`` voxels.
+    """Mean local SSIM of ``(x - lo) / scale`` against ``(y - lo) / scale``
+    over the windows centred on the voxels ``core`` marks.
 
-    Every valid centre is at least ``window // 2`` from the grid edge, so
-    those windows read only the bounding box of ``valid`` grown by that
-    margin; only that box is filtered.
+    ``core`` covers the interior, the centres at least ``window // 2``
+    from every grid edge, so each axis of ``x`` is ``window - 1`` longer
+    than the same axis of ``core``. Those windows read only the bounding
+    box of the marked centres grown by that margin; only that box is
+    normalized and filtered.
     """
     w = params.window
-    r = w // 2
-    box = []
-    for axis in range(valid.ndim):
-        others = tuple(a for a in range(valid.ndim) if a != axis)
-        hit = np.flatnonzero(valid.any(axis=others))
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    grown = tuple(slice(b.start - r, b.stop + r) for b in box)
-    x, y = x[grown], y[grown]
+    box, grown = [], []
+    for axis in range(core.ndim):
+        others = tuple(a for a in range(core.ndim) if a != axis)
+        hit = np.flatnonzero(core.any(axis=others))
+        start, stop = int(hit[0]), int(hit[-1]) + 1
+        box.append(slice(start, stop))
+        grown.append(slice(start, stop + w - 1))
+    x = (x[tuple(grown)] - lo) / scale
+    y = (y[tuple(grown)] - lo) / scale
     ux = _box_mean(x, w)
     uy = _box_mean(y, w)
     vx = _box_mean(x * x, w) - ux * ux
@@ -97,7 +106,7 @@ def _ssim_mean(
     ssim_map = ((2.0 * ux * uy + c1) * (2.0 * cov + c2)) / (
         (ux * ux + uy * uy + c1) * (vx + vy + c2)
     )
-    return float(np.mean(ssim_map[valid[tuple(box)]]))
+    return float(np.mean(ssim_map[core[tuple(box)]]))
 
 
 def paired_metrics(
@@ -123,16 +132,14 @@ def paired_metrics(
     if not fg.any():
         raise EmptyForeground("neither image has foreground under this policy")
 
-    lo = min(float(pred.values[fg].min()), float(gt.values[fg].min()))
-    hi = max(float(pred.values[fg].max()), float(gt.values[fg].max()))
+    p, g = pred.values[fg], gt.values[fg]
+    lo = min(float(p.min()), float(g.min()))
+    hi = max(float(p.max()), float(g.max()))
     if not hi > lo:
         raise DegenerateRange("joint foreground min equals max; cannot normalize")
 
     scale = hi - lo
-    a = (pred.values - lo) / scale
-    b = (gt.values - lo) / scale
-
-    diff = a[fg] - b[fg]
+    diff = (p - lo) / scale - (g - lo) / scale
     mae = float(np.mean(np.abs(diff)))
     mse = float(np.mean(diff * diff))
     L = params.dynamic_range
@@ -143,13 +150,9 @@ def paired_metrics(
     if min(nx, ny, nz) < w:
         raise ValueError(f"SSIM window {w} exceeds volume extent {pred.dims}")
     r = w // 2
-    interior = np.zeros(pred.dims, dtype=bool)
-    interior[r : nx - r, r : ny - r, r : nz - r] = True
-    valid = interior & fg.reshape(pred.dims, order="F")
-    if not valid.any():
+    core = fg.reshape(pred.dims, order="F")[r : nx - r, r : ny - r, r : nz - r]
+    if not core.any():
         raise EmptyForeground("no full window has a foreground center")
-    ssim = _ssim_mean(
-        a.reshape(pred.dims, order="F"), b.reshape(pred.dims, order="F"), valid, params
-    )
+    ssim = _ssim_mean(pred.as_array(), gt.as_array(), core, lo, scale, params)
 
     return PairedMetricRow(ssim=ssim, psnr_db=psnr_db, mae=mae, mse=mse)

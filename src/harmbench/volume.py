@@ -8,6 +8,7 @@ downstream math has one numeric contract.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,13 +101,16 @@ class LabelVolume:
     """Integer-labeled segmentation grid; label 0 is background.
 
     ``legend`` maps every nonzero label that appears in ``labels`` to a
-    structure name.
+    structure name; without one, each such label is named ``label-<k>``.
+    ``voxel_counts`` holds the voxel count of every nonzero label present,
+    in ascending label order, counted once on construction.
     """
 
     dims: Dims
     spacing: Spacing
     labels: np.ndarray
-    legend: dict[int, str] = field(default_factory=dict)
+    legend: dict[int, str] | None = None
+    voxel_counts: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         nx, ny, nz = (int(d) for d in self.dims)
@@ -121,17 +125,16 @@ class LabelVolume:
         labels = labels.astype(np.int64, copy=False)
         if labels.size != nx * ny * nz:
             raise ValueError(f"labels length {labels.size} != nx*ny*nz = {nx * ny * nz}")
-        if labels.size and labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
-        legend = {int(k): str(v) for k, v in dict(self.legend).items()}
-        present = [int(v) for v in np.unique(labels) if v != 0]
-        missing = [v for v in present if v not in legend]
-        if missing:
-            raise ValueError(f"labels {missing} present in volume but absent from legend")
+        counts = _count_labels(labels)
+        if self.legend is None:
+            legend = {k: f"label-{k}" for k in counts}
+        else:
+            legend = _checked_legend(self.legend, counts)
         object.__setattr__(self, "dims", (nx, ny, nz))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "labels", _frozen_array(labels))
         object.__setattr__(self, "legend", legend)
+        object.__setattr__(self, "voxel_counts", counts)
 
     @property
     def voxel_volume_mm3(self) -> float:
@@ -140,6 +143,13 @@ class LabelVolume:
 
     def as_array(self) -> np.ndarray:
         return self.labels.reshape(self.dims, order="F")
+
+    def renamed(self, legend: dict[int, str]) -> "LabelVolume":
+        """The same segmentation under ``legend``, which must name every
+        nonzero label present; the labels are not validated or counted again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "legend", _checked_legend(legend, self.voxel_counts))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelVolume):
@@ -152,6 +162,29 @@ class LabelVolume:
         )
 
 
-def default_legend(labels: np.ndarray) -> dict[int, str]:
-    """``label-<k>`` name for every distinct nonzero label."""
-    return {int(v): f"label-{int(v)}" for v in np.unique(labels) if v != 0}
+# bincount's table holds one int64 per id up to the largest label. It is
+# used while that table is no longer than the labels themselves or than
+# 2**16 entries; sparse atlas ids in the millions would make it allocate
+# gigabytes, so such a volume is counted by np.unique's sort instead.
+_BINCOUNT_MIN_TABLE = 2 ** 16
+
+
+def _count_labels(labels: np.ndarray) -> dict[int, int]:
+    """Voxel count of every nonzero label in ``labels``, ascending by label."""
+    if labels.min() < 0:
+        raise ValueError("labels must be nonnegative")
+    if int(labels.max()) < max(labels.size, _BINCOUNT_MIN_TABLE):
+        counts = np.bincount(labels)
+        present = np.flatnonzero(counts[1:]) + 1
+        return dict(zip(present.tolist(), counts[present].tolist()))
+    present, counts = np.unique(labels, return_counts=True)
+    keep = present != 0
+    return dict(zip(present[keep].tolist(), counts[keep].tolist()))
+
+
+def _checked_legend(legend: dict, counts: dict[int, int]) -> dict[int, str]:
+    legend = {int(k): str(v) for k, v in dict(legend).items()}
+    missing = [k for k in counts if k not in legend]
+    if missing:
+        raise ValueError(f"labels {missing} present in volume but absent from legend")
+    return legend

@@ -1,4 +1,6 @@
 """Structure volumetry and the anatomy preservation score."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,34 @@ def test_as_label_volume_conversion():
         as_label_volume(VoxelGrid((1, 1, 1), (1, 1, 1), [0.5]))
     with pytest.raises(ValueError):
         as_label_volume(grid, {1: "GM"})  # label 2 unnamed
+
+
+@given(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2 ** 40)), min_size=1, max_size=64))
+@settings(max_examples=100)
+def test_voxel_counts_match_unique_oracle(values):
+    labels = np.array(values, dtype=np.int64)
+    seg = LabelVolume((labels.size, 1, 1), (1, 1, 1), labels)
+    present, counts = np.unique(labels, return_counts=True)
+    expected = {int(v): int(c) for v, c in zip(present, counts) if v != 0}
+    assert seg.voxel_counts == expected
+    assert list(seg.voxel_counts) == sorted(expected)
+    assert seg.legend == {k: f"label-{k}" for k in expected}
+
+
+def test_huge_sparse_label_counted_without_a_table_that_large():
+    labels = np.zeros(4 ** 3, dtype=np.int64)
+    labels[:5] = 2 ** 40
+    labels[5:7] = 3
+    seg = LabelVolume((4, 4, 4), (1, 1, 1), labels)
+    assert seg.voxel_counts == {3: 2, 2 ** 40: 5}
+    vols = {s.label: s.volume_mm3 for s in structure_volumes(seg)}
+    assert vols == {3: 2.0, 2 ** 40: 5.0}
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, 1e300, 2.0 ** 63])
+def test_as_label_volume_rejects_non_labels_without_cast_warnings(bad):
+    grid = VoxelGrid((2, 1, 1), (1, 1, 1), [1.0, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="segmentation voxels must be nonnegative integers"):
+            as_label_volume(grid)

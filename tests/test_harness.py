@@ -1,6 +1,9 @@
 """Manifest ingestion, batch evaluation, summaries, and reports."""
 import json
 import math
+import shutil
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from harmbench.errors import (
     UnreadableFile,
     UnsupportedFormat,
 )
+from harmbench import harness
 from harmbench.harness import (
     EvalConfig,
     EvaluationRow,
@@ -265,6 +269,101 @@ def test_multichannel_rows_per_channel(tmp_path):
     rows = evaluate_all(load_manifest(manifest), EvalConfig())
     assert [r.ok for r in rows] == [False, True]
     assert "channel" in rows[0].status
+
+
+def _shared_seg_manifest(base, rows=4, own_segs=False):
+    """``rows`` triplets that all name one segmentation, or per-row copies of it."""
+    lines = [MANIFEST_HEADER]
+    for i in range(rows):
+        seg = "seg.nii"
+        if own_segs:
+            seg = f"seg_{i}.nii"
+            shutil.copy(base / "seg.nii", base / seg)
+        pred = "a.nii" if i % 2 else "b.nii"
+        lines.append(f"r{i},a.nii,b.nii,{pred},,{seg},{seg},A,B,")
+    manifest = base / ("own.csv" if own_segs else "shared.csv")
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_seg_results_equal_per_row_copies(tiny_dataset, workers):
+    base, _ = tiny_dataset
+    config = EvalConfig(workers=workers)
+    shared = evaluate_all(load_manifest(_shared_seg_manifest(base)), config)
+    own = evaluate_all(load_manifest(_shared_seg_manifest(base, own_segs=True)), config)
+    assert all(r.ok for r in shared)
+    meta = config.to_meta()
+    assert rows_to_csv_bytes(shared, meta) == rows_to_csv_bytes(own, meta)
+
+
+def test_each_shared_file_read_and_converted_once(tiny_dataset, monkeypatch):
+    base, _ = tiny_dataset
+    loads, conversions = Counter(), Counter()
+    load, convert = harness.load_volume, harness.as_label_volume
+
+    def counted_load(path):
+        loads[path.name] += 1
+        return load(path)
+
+    def counted_convert(grid, legend=None):
+        conversions[grid.dims] += 1
+        return convert(grid, legend)
+
+    monkeypatch.setattr(harness, "load_volume", counted_load)
+    monkeypatch.setattr(harness, "as_label_volume", counted_convert)
+    records = load_manifest(_shared_seg_manifest(base, rows=16))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches inside every read
+    try:
+        rows = evaluate_all(records, EvalConfig(workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.ok for r in rows)
+    assert loads == {"a.nii": 1, "b.nii": 1, "seg.nii": 1}
+    assert conversions == {(8, 8, 8): 1}
+
+
+def test_corrupt_shared_seg_fails_every_row_naming_it_alike(tiny_dataset):
+    base, _ = tiny_dataset
+    (base / "bad_seg.nii").write_bytes(b"not a nifti file")
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,a.nii,,bad_seg.nii,seg.nii,A,B,\n"
+        "r1,a.nii,b.nii,b.nii,,seg.nii,seg.nii,A,B,\n"
+        "r2,a.nii,b.nii,a.nii,,seg.nii,bad_seg.nii,A,B,\n"
+        "r3,a.nii,b.nii,b.nii,,bad_seg.nii,bad_seg.nii,A,B,\n"
+    )
+    for workers in (1, 3):
+        rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+        assert [r.ok for r in rows] == [False, True, False, False]
+        assert rows[0].status.startswith("error: ")
+        assert "bad_seg.nii" in rows[0].status
+        assert rows[2].status == rows[0].status == rows[3].status
+
+
+def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    dims, channels = (6, 6, 6), 3
+    values = rng.uniform(1, 5, 6 ** 3 * channels)
+    write_volume(VoxelGrid(dims, (1, 1, 1), values, channel_count=channels), tmp_path / "in.nii")
+    write_volume(VoxelGrid(dims, (1, 1, 1), values * 2, channel_count=channels), tmp_path / "tg.nii")
+    (tmp_path / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        + "".join(f"x,in.nii,tg.nii,in.nii,,,,A,B,{c}\n" for c in range(channels))
+    )
+    loads = Counter()
+    load = harness.load_volume
+
+    def counted_load(path):
+        loads[path.name] += 1
+        return load(path)
+
+    monkeypatch.setattr(harness, "load_volume", counted_load)
+    rows = evaluate_all(load_manifest(tmp_path / "m.csv"), EvalConfig(workers=2))
+    assert all(r.ok for r in rows)
+    assert len({r.wd.wd_it for r in rows}) == channels
+    assert loads == {"in.nii": 1, "tg.nii": 1}
 
 
 # ---------------------------------------------------------------- summaries
