@@ -175,7 +175,7 @@ def _config(ns) -> EvalConfig:
         raise _UsageError(exc) from exc
     if given.get("fg_mask"):
         mask = as_label_volume(load_volume(ns.fg_mask))
-        policy = dataclasses.replace(config.policy, mode="explicit-mask", mask=mask)
+        policy = dataclasses.replace(config.policy, mask=mask)
         config = dataclasses.replace(config, policy=policy)
     return config
 

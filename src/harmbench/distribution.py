@@ -25,22 +25,16 @@ WdMode = Literal["auto", "exact", "binned"]
 class ForegroundPolicy:
     """How to decide which voxels are tissue.
 
-    ``threshold`` mode keeps voxels with intensity strictly greater than
-    ``threshold``; ``explicit-mask`` mode keeps voxels whose mask label
-    is nonzero.
+    Without a ``mask``, voxels with intensity strictly greater than
+    ``threshold`` are kept; with one, voxels whose mask label is nonzero.
     """
 
-    mode: Literal["threshold", "explicit-mask"] = "threshold"
     threshold: float = 0.0
     mask: LabelVolume | None = None
 
     def __post_init__(self):
-        if self.mode not in ("threshold", "explicit-mask"):
-            raise ValueError(f"unknown foreground mode {self.mode!r}")
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-        if self.mode == "explicit-mask" and self.mask is None:
-            raise ValueError("explicit-mask mode requires a mask")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +101,7 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
         raise ValueError(
             "foreground extraction is single-channel; select a channel first"
         )
-    if policy.mode == "threshold":
+    if policy.mask is None:
         return grid.values > policy.threshold
     mask = policy.mask
     if mask.dims != grid.dims:
@@ -117,12 +111,12 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
     """Sorted multiset of foreground intensities, one count per voxel."""
-    keep = foreground_mask(grid, policy)
-    if not keep.any():
+    samples = grid.values[foreground_mask(grid, policy)]
+    if not samples.size:
         raise EmptyForeground(
             "no voxel passes the foreground policy; wrong threshold or unusable image"
         )
-    return EmpiricalDistribution.from_samples(grid.values[keep])
+    return EmpiricalDistribution.from_samples(samples)
 
 
 def coarsen(

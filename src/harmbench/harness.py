@@ -118,7 +118,7 @@ class EvalConfig:
         """The metric-affecting settings; ``workers`` changes no value and
         is left out so results files compare equal across worker counts."""
         return {
-            "foreground": self.policy.mode,
+            "foreground": "threshold" if self.policy.mask is None else "explicit-mask",
             "bg_threshold": self.policy.threshold,
             "bins": self.bins,
             "exact_cap": self.exact_cap,

@@ -17,6 +17,7 @@ import gzip
 import logging
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,17 +79,15 @@ class NiftiHeader:
 
 
 def _read_bytes(path: Path) -> bytes:
-    with open(path, "rb") as f:
-        head = f.read(2)
-        if head == GZIP_MAGIC:
-            f.seek(0)
-            try:
-                return gzip.GzipFile(fileobj=f).read()
-            except gzip.BadGzipFile as exc:
-                raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
-            except EOFError as exc:
-                raise TruncatedData(f"{path}: truncated gzip stream") from exc
-        return head + f.read()
+    buf = path.read_bytes()
+    if buf[:2] != GZIP_MAGIC:
+        return buf
+    try:
+        return gzip.decompress(buf)
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
+    except EOFError as exc:
+        raise TruncatedData(f"{path}: truncated gzip stream") from exc
 
 
 def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
@@ -194,17 +193,16 @@ def load_volume(path: str | Path) -> VoxelGrid:
             f"{path}: need {need} data bytes at offset {offset}, file has "
             f"{max(len(buf) - offset, 0)}"
         )
-    raw = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-    values = raw.astype(np.float64)
+    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).astype(np.float64)
 
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if not (math.isfinite(slope) and math.isfinite(inter)):
         log.warning("%s: non-finite scl_slope/scl_inter; scaling skipped", path)
-        slope, inter = 0.0, 0.0
-    if slope != 0.0:
+    elif slope != 0.0 and (slope, inter) != (1.0, 0.0):
         if slope != 1.0:
             log.info("%s: applying scl_slope=%r scl_inter=%r", path, slope, inter)
-        values = values * slope + inter
+        values *= slope
+        values += inter
 
     try:
         return VoxelGrid(dims, _spacing(hdr), values, channel_count=channels)
@@ -221,7 +219,6 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     path = Path(path)
     if grid.values.size and float(np.max(np.abs(grid.values))) > float(np.finfo(np.float32).max):
         raise IoFailure(f"{path}: values exceed the float32 range")
-    data32 = grid.values.astype(np.float32)
 
     nx, ny, nz = grid.dims
     rank = 4 if grid.channel_count > 1 else 3
@@ -236,7 +233,7 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     struct.pack_into("<3f", hdr, 108, 352.0, 1.0, 0.0)  # vox_offset, slope, inter
     hdr[344:348] = MAGIC_SINGLE
 
-    payload = bytes(hdr) + b"\x00" * 4 + data32.astype("<f4").tobytes()
+    payload = bytes(hdr) + b"\x00" * 4 + grid.values.astype("<f4").tobytes()
     try:
         if path.suffix == ".gz":
             with open(path, "wb") as f:

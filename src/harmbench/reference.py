@@ -29,26 +29,29 @@ PSNR_PERFECT = math.inf  # sentinel for a zero-error pair; aggregation skips it
 
 @dataclass(frozen=True)
 class SsimParams:
-    """Window size and stabilization constants for structural similarity."""
+    """Window size and stabilization constants for structural similarity.
+
+    Images are normalized to [0, 1] before SSIM, so the dynamic range is 1
+    and the constants are ``k1**2`` and ``k2**2``.
+    """
 
     window: int = 7
     k1: float = 0.01
     k2: float = 0.03
-    dynamic_range: float = 1.0
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if self.k1 <= 0 or self.k2 <= 0 or self.dynamic_range <= 0:
-            raise ValueError("k1, k2 and dynamic_range must be positive")
+        if self.k1 <= 0 or self.k2 <= 0:
+            raise ValueError("k1 and k2 must be positive")
 
     @property
     def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
+        return self.k1 ** 2
 
     @property
     def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+        return self.k2 ** 2
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,9 @@ def paired_metrics(
         raise ValueError("paired metrics are single-channel; select a channel first")
 
     fg = foreground_mask(pred, policy) | foreground_mask(gt, policy)
-    if not fg.any():
-        raise EmptyForeground("neither image has foreground under this policy")
-
     p, g = pred.values[fg], gt.values[fg]
+    if not p.size:
+        raise EmptyForeground("neither image has foreground under this policy")
     lo = min(float(p.min()), float(g.min()))
     hi = max(float(p.max()), float(g.max()))
     if not hi > lo:
@@ -142,8 +144,7 @@ def paired_metrics(
     diff = (p - lo) / scale - (g - lo) / scale
     mae = float(np.mean(np.abs(diff)))
     mse = float(np.mean(diff * diff))
-    L = params.dynamic_range
-    psnr_db = PSNR_PERFECT if mse == 0.0 else 10.0 * math.log10(L * L / mse)
+    psnr_db = PSNR_PERFECT if mse == 0.0 else 10.0 * math.log10(1.0 / mse)
 
     w = params.window
     nx, ny, nz = pred.dims

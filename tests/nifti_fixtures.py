@@ -69,6 +69,16 @@ def build_nifti(
     return blob
 
 
+def corrupt_deflate(gz_blob: bytes) -> bytes:
+    """Invert eight bytes of the Huffman tables at the head of a gzip
+    member's deflate body (the header is 10 bytes when no file name is
+    stored), so inflating fails inside zlib. Length, header and trailer
+    are kept."""
+    out = bytearray(gz_blob)
+    out[12:20] = bytes(b ^ 0xFF for b in out[12:20])
+    return bytes(out)
+
+
 # header fields that need swapping: (offset, count, item size)
 _SWAP_FIELDS = [
     (0, 1, 4), (32, 1, 4), (36, 1, 2), (40, 8, 2), (56, 3, 4), (68, 3, 2),

@@ -15,6 +15,8 @@ from harmbench.cli import run
 from harmbench.nifti import write_volume
 from harmbench.volume import VoxelGrid
 
+from nifti_fixtures import corrupt_deflate
+
 
 def _write_grid(path, values, dims=(8, 8, 8)):
     write_volume(VoxelGrid(dims, (1, 1, 1), np.asarray(values, dtype=float)), path)
@@ -89,12 +91,18 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_malformed_volume_is_data_error(tmp_path, capsys):
-    bad = tmp_path / "bad.nii"
-    bad.write_bytes(b"\x00" * 400)
-    code = run(["wd", "--input", str(bad), "--target", str(bad), "--pred", str(bad)])
-    assert code == 2
-    assert "MalformedHeader" in capsys.readouterr().err
+def test_malformed_volume_is_data_error(volume_pair, capsys):
+    zeros = volume_pair / "bad.nii"
+    zeros.write_bytes(b"\x00" * 400)
+    _write_grid(volume_pair / "a.nii.gz", np.arange(8 ** 3))
+    corrupt = volume_pair / "corrupt.nii.gz"
+    corrupt.write_bytes(corrupt_deflate((volume_pair / "a.nii.gz").read_bytes()))
+    good = str(volume_pair / "a.nii")
+    for bad in (zeros, corrupt):
+        code = run(["wd", "--input", good, "--target", good, "--pred", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: MalformedHeader: ") and err.count("\n") == 1
 
 
 def test_ap_subcommand(tmp_path, capsys):

@@ -54,12 +54,12 @@ def test_extraction_count_matches_direct_scan():
 def test_mask_mode_and_dims_check():
     grid = _grid([5, 0, 7, 0])
     mask = LabelVolume((4, 1, 1), (1, 1, 1), np.array([1, 0, 0, 2]), {1: "a", 2: "b"})
-    policy = ForegroundPolicy(mode="explicit-mask", mask=mask)
+    policy = ForegroundPolicy(mask=mask)
     dist = extract_foreground(grid, policy)
     np.testing.assert_array_equal(dist.values, [0.0, 5.0])  # masked-in, sorted
     bad = LabelVolume((2, 1, 1), (1, 1, 1), np.array([1, 1]), {1: "a"})
     with pytest.raises(DimsMismatch):
-        foreground_mask(grid, ForegroundPolicy(mode="explicit-mask", mask=bad))
+        foreground_mask(grid, ForegroundPolicy(mask=bad))
 
 
 def test_multichannel_grid_rejected():

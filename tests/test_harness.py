@@ -32,10 +32,12 @@ from harmbench.harness import (
     summarize_groups,
     write_rows_csv,
 )
-from harmbench.nifti import write_volume
+from harmbench.nifti import load_volume, write_volume
 from harmbench.reference import PairedMetricRow
 from harmbench.volume import VoxelGrid
 from harmbench.wasserstein import HarmonizationVerdict, Verdict, WdPair
+
+from nifti_fixtures import corrupt_deflate
 
 MANIFEST_HEADER = "id,input_path,target_path,pred_path,gt_path,seg_input_path,seg_pred_path,site_in,site_out,channel"
 
@@ -340,6 +342,23 @@ def test_corrupt_shared_seg_fails_every_row_naming_it_alike(tiny_dataset):
         assert rows[0].status.startswith("error: ")
         assert "bad_seg.nii" in rows[0].status
         assert rows[2].status == rows[0].status == rows[3].status
+
+
+def test_corrupt_gzip_pred_fails_only_its_row(tiny_dataset):
+    base, _ = tiny_dataset
+    write_volume(load_volume(base / "a.nii"), base / "a.nii.gz")
+    (base / "bad.nii.gz").write_bytes(corrupt_deflate((base / "a.nii.gz").read_bytes()))
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,a.nii.gz,,,,A,B,\n"
+        "r1,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
+        "r2,a.nii,b.nii,b.nii,,,,A,B,\n"
+    )
+    for workers in (1, 3):
+        rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+        assert [r.ok for r in rows] == [True, False, True]
+        assert rows[1].status.startswith("error: MalformedHeader: ")
+        assert "bad.nii.gz" in rows[1].status
 
 
 def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from harmbench.errors import (
 from harmbench.nifti import load_volume, parse_header, write_volume
 from harmbench.volume import VoxelGrid
 
-from nifti_fixtures import build_nifti, byteswap_nifti
+from nifti_fixtures import build_nifti, byteswap_nifti, corrupt_deflate
 
 
 def _write(tmp_path, blob, name="vol.nii"):
@@ -33,12 +33,13 @@ def test_plain_float32_identity_scaling(tmp_path):
 
 
 def test_scl_slope_affine_scaling(tmp_path):
-    blob = build_nifti(
-        np.arange(8, dtype=np.float32), dim=(3, 2, 2, 2, 1, 1, 1, 1),
-        scl_slope=2.0, scl_inter=1.0,
-    )
-    grid = load_volume(_write(tmp_path, blob))
-    np.testing.assert_array_equal(grid.values, 2.0 * np.arange(8) + 1.0)
+    for slope, inter in [(2.0, 1.0), (1.0, 5.0)]:
+        blob = build_nifti(
+            np.arange(8, dtype=np.float32), dim=(3, 2, 2, 2, 1, 1, 1, 1),
+            scl_slope=slope, scl_inter=inter,
+        )
+        grid = load_volume(_write(tmp_path, blob))
+        np.testing.assert_array_equal(grid.values, slope * np.arange(8) + inter)
 
 
 def test_x_fastest_layout(tmp_path):
@@ -251,6 +252,24 @@ def test_truncated_gzip_stream(tmp_path):
     blob = build_nifti(np.zeros((8, 8, 8), np.float32), gzipped=True)
     with pytest.raises((TruncatedData, MalformedHeader)):
         load_volume(_write(tmp_path, blob[: len(blob) // 2]))
+
+
+def test_corrupt_deflate_body_is_malformed(tmp_path):
+    blob = build_nifti(np.arange(512, dtype=np.float32).reshape(8, 8, 8), gzipped=True)
+    bad = corrupt_deflate(blob)
+    assert len(bad) == len(blob)
+    with pytest.raises(MalformedHeader, match="corrupt gzip"):
+        load_volume(_write(tmp_path, bad, "bad.nii.gz"))
+
+
+def test_multi_member_gzip_loads_like_one_member(tmp_path):
+    plain = build_nifti(np.arange(512, dtype=np.float32).reshape(8, 8, 8))
+    one = _write(tmp_path, gzip.compress(plain, mtime=0), "one.nii.gz")
+    two = _write(
+        tmp_path, gzip.compress(plain[:400], mtime=0) + gzip.compress(plain[400:], mtime=0),
+        "two.nii.gz",
+    )
+    assert load_volume(two) == load_volume(one)
 
 
 def test_write_failure_maps_to_io_failure(tmp_path):

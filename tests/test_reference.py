@@ -172,9 +172,9 @@ def test_ssim_params_validation():
         SsimParams(window=1)
     with pytest.raises(ValueError):
         SsimParams(k1=0.0)
-    params = SsimParams(window=5, k1=0.02, k2=0.05, dynamic_range=2.0)
-    assert params.c1 == pytest.approx((0.02 * 2.0) ** 2)
-    assert params.c2 == pytest.approx((0.05 * 2.0) ** 2)
+    params = SsimParams(window=5, k1=0.02, k2=0.05)
+    assert params.c1 == 0.02 ** 2
+    assert params.c2 == 0.05 ** 2
 
 
 def test_custom_window_matches_oracle():
