@@ -26,17 +26,12 @@ class StructureVolume:
     volume_mm3: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ApReport:
     """Per-structure preservation scores and their mean."""
 
     per_structure: dict[str, float]
     mean_ap: float
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ApReport):
-            return NotImplemented
-        return self.per_structure == other.per_structure and self.mean_ap == other.mean_ap
 
 
 def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> LabelVolume:

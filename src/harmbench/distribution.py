@@ -8,7 +8,7 @@ explicit mask overrides it for anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from .errors import DimsMismatch, EmptyForeground, InvalidRange
 from .volume import LabelVolume, VoxelGrid, _frozen_array
 
 DEFAULT_BINS = 4096
-DEFAULT_EXACT_CAP = 2 ** 24  # samples; above this the binned path kicks in
-
-WdMode = Literal["auto", "exact", "binned"]
+DEFAULT_EXACT_CAP = 2 ** 24  # support points; above this the binned path kicks in
 
 
 @dataclass(frozen=True)
@@ -147,22 +145,16 @@ def coarsen_jointly(
     *,
     bins: int = DEFAULT_BINS,
     exact_cap: int = DEFAULT_EXACT_CAP,
-    mode: WdMode = "auto",
 ) -> tuple[EmpiricalDistribution, ...]:
     """Apply the sample-cap policy to a group of distributions.
 
-    In ``auto`` mode the distributions are binned over their joint range
-    only when any of them exceeds ``exact_cap`` samples; ``exact`` forces
-    raw samples and ``binned`` forces binning. Degenerate joint range
-    (all mass on one value) is returned untouched, the distance code
-    handles it.
+    The group is binned over its joint range only when one of them has
+    more than ``exact_cap`` support points; otherwise every distance is
+    exact. Degenerate joint range (all mass on one value) is returned
+    untouched, the distance code handles it.
     """
     dists = tuple(dists)
-    if mode not in ("auto", "exact", "binned"):
-        raise ValueError(f"unknown wd mode {mode!r}")
-    if mode == "exact":
-        return dists
-    if mode == "auto" and all(d.n <= exact_cap for d in dists):
+    if all(d.n <= exact_cap for d in dists):
         return dists
     lo = min(d.support_min for d in dists)
     hi = max(d.support_max for d in dists)

@@ -24,10 +24,8 @@ from typing import Iterable, Sequence
 
 from .anatomy import ApReport, anatomy_preservation, as_label_volume
 from .distribution import (
-    DEFAULT_BINS,
     DEFAULT_EXACT_CAP,
     ForegroundPolicy,
-    WdMode,
     coarsen_jointly,
     extract_foreground,
 )
@@ -93,12 +91,15 @@ class TripletRecord:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Every knob the batch evaluation honors, validated on construction."""
+    """Every knob the batch evaluation honors, validated on construction.
+
+    ``exact_cap`` is the one Wasserstein setting: a triplet whose largest
+    foreground has more support points than this is binned, any other
+    is exact.
+    """
 
     policy: ForegroundPolicy = ForegroundPolicy()
-    bins: int = DEFAULT_BINS
     exact_cap: int = DEFAULT_EXACT_CAP
-    wd_mode: WdMode = "auto"
     tol: float = DEFAULT_VERDICT_TOL
     ssim: SsimParams = SsimParams()
     labels: dict[int, str] | None = None
@@ -106,11 +107,9 @@ class EvalConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("bins", "exact_cap", "workers"):
+        for name in ("exact_cap", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.wd_mode not in ("auto", "exact", "binned"):
-            raise ValueError(f"unknown wd mode {self.wd_mode!r}")
         if not 0.0 < self.tol < 0.5:
             raise ValueError(f"tol must be in (0, 0.5), got {self.tol!r}")
 
@@ -120,9 +119,7 @@ class EvalConfig:
         return {
             "foreground": "threshold" if self.policy.mask is None else "explicit-mask",
             "bg_threshold": self.policy.threshold,
-            "bins": self.bins,
             "exact_cap": self.exact_cap,
-            "wd_mode": self.wd_mode,
             "tol": self.tol,
             "ssim_window": self.ssim.window,
             "ssim_k1": self.ssim.k1,
@@ -206,7 +203,8 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark Excel's "CSV UTF-8" writes
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
 
@@ -262,9 +260,7 @@ def intensity_metrics(
 ) -> tuple[WdPair, HarmonizationVerdict]:
     """Normalized Wasserstein pair and verdict of (input, target, prediction)."""
     dists = tuple(extract_foreground(g, config.policy) for g in grids)
-    d_i, d_t, d_p = coarsen_jointly(
-        dists, bins=config.bins, exact_cap=config.exact_cap, mode=config.wd_mode
-    )
+    d_i, d_t, d_p = coarsen_jointly(dists, exact_cap=config.exact_cap)
     pair = nwd(d_i, d_t, d_p)
     return pair, classify(pair, config.tol)
 
@@ -442,15 +438,10 @@ class MetricSummary:
     sentinel_count: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SummaryTable:
     group: str
     metrics: dict[str, MetricSummary]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SummaryTable):
-            return NotImplemented
-        return self.group == other.group and self.metrics == other.metrics
 
 
 def summarize_groups(

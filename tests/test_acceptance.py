@@ -139,7 +139,7 @@ def test_binned_distance_tracks_exact():
         a = mixture(0.0)
         b = mixture(float(rng.uniform(1.0, 3.0)))
         exact = wasserstein_1d(a, b)
-        ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1, mode="binned")
+        ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1)
         rel = abs(wasserstein_1d(ba, bb) - exact) / exact
         worst = max(worst, rel)
     assert worst <= 0.01

@@ -225,13 +225,13 @@ def test_env_default_used_without_flag(volume_pair, capsys, monkeypatch):
     st.lists(
         st.sampled_from(
             ["wd", "evaluate", "corr", "report", "--json", "--input", "x.nii",
-             "--manifest", "m.csv", "--in", "r.csv", "--bins", "-3", "nonsense", ""]
+             "--manifest", "m.csv", "--in", "r.csv", "--exact-cap", "-3", "nonsense", ""]
         ),
         max_size=4,
     )
 )
 @example(["report", "--in"])
-@example(["wd", "--bins", "not-a-number"])
+@example(["wd", "--exact-cap", "not-a-number"])
 @settings(max_examples=120, deadline=None)
 def test_exit_codes_are_always_in_contract(argv):
     assert run(argv) in (0, 1, 2)
@@ -247,11 +247,13 @@ def synth_manifest(tmp_path):
 @pytest.mark.parametrize("setting", [
     ["--tol", "0.7"],
     ["--tol", "0"],
-    ["--bins", "-3"],
+    ["--exact-cap", "0"],
     ["--workers", "0"],
     ["--labels", "1=GM,x"],
     ["--window", "4"],
     ["--bg-threshold", "nan"],
+    ["--bins", "64"],  # removed: --exact-cap is the one distance setting
+    ["--exact"],
 ])
 def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting):
     # every volume is missing, so evaluating even one record would fail
@@ -271,8 +273,6 @@ def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting)
 @pytest.mark.parametrize("name,value", [
     ("HARMBENCH_WORKERS", "abc"),
     ("HARMBENCH_WORKERS", "0"),
-    ("HARMBENCH_BINS", "many"),
-    ("HARMBENCH_BINS", "-3"),
     ("HARMBENCH_BG_THRESHOLD", "abc"),
     ("HARMBENCH_BG_THRESHOLD", "nan"),
 ])
@@ -321,6 +321,44 @@ def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
     assert {k: plain_row[k] for k in keys} != {k: wd[k] for k in keys}
 
 
+def test_exact_cap_one_bins_every_triplet(synth_manifest, tmp_path, capsys):
+    from harmbench.distribution import ForegroundPolicy, coarsen_jointly, extract_foreground
+    from harmbench.harness import load_manifest, read_rows_csv
+    from harmbench.nifti import load_volume
+    from harmbench.wasserstein import nwd
+
+    results = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results),
+                "--exact-cap", "1"]) == 0
+    capsys.readouterr()
+    assert "# exact_cap: 1\n" in results.read_text()
+    rows = {r["id"]: r for r in read_rows_csv(results)}
+    for rec in load_manifest(synth_manifest):
+        dists = [
+            extract_foreground(load_volume(p), ForegroundPolicy())
+            for p in (rec.input_path, rec.target_path, rec.pred_path)
+        ]
+        binned = nwd(*coarsen_jointly(dists, exact_cap=1))
+        row = rows[rec.id]
+        assert row["status"] == "ok"
+        for key in ("wd_it", "wd_ip", "wd_tp", "nwd_ip", "nwd_tp"):
+            assert row[key] == repr(getattr(binned, key))
+        assert row["wd_ip"] != repr(nwd(*dists).wd_ip)  # the binned path really ran
+
+
+def test_corr_unknown_column_is_usage_error(tmp_path, capsys):
+    results = tmp_path / "r.csv"
+    results.write_text("id,nwd_ip,ssim\na,0.1,\nb,0.3,\nc,0.2,\n")
+    code = run(["corr", "--in", str(results), "--rows", "nwd_ip,nwd_ipp", "--cols", "ssim,mea"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nwd_ipp" in captured.err and "mea" in captured.err
+    assert captured.out == ""
+    # a column that exists but holds no value is still a data error
+    assert run(["corr", "--in", str(results), "--rows", "nwd_ip", "--cols", "ssim"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):
     results = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results),
@@ -331,7 +369,7 @@ def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):
 
     # the whole output, metadata lines included
     assert from_report == from_evaluate
-    assert "# bins: " in from_report
+    assert f"# exact_cap: {2 ** 24}\n" in from_report
     assert len([line for line in from_report.splitlines() if not line.startswith("#")]) > 1
 
 
@@ -346,7 +384,7 @@ def test_report_reproduces_evaluate_json(synth_manifest, tmp_path, capsys):
     # the whole output, metadata typed as evaluate writes it
     assert from_report == from_evaluate
     meta = json.loads(from_report)["meta"]
-    assert meta["bins"] == 4096 and meta["weighted_ap"] is False
+    assert meta["exact_cap"] == 2 ** 24 and meta["weighted_ap"] is False
     assert isinstance(meta["tol"], float)
 
 

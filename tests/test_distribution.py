@@ -184,19 +184,24 @@ def test_coarsen_concentrates_mass_at_centers():
 def test_coarsen_jointly_auto_respects_cap():
     small = EmpiricalDistribution.from_samples(np.linspace(0, 1, 50))
     big = EmpiricalDistribution.from_samples(np.linspace(0, 1, 2000))
-    out = coarsen_jointly((small, big), bins=8, exact_cap=100, mode="auto")
+    out = coarsen_jointly((small, big), bins=8, exact_cap=100)
     assert out[0].n <= 8 and out[1].n <= 8
-    untouched = coarsen_jointly((small, big), bins=8, exact_cap=10_000, mode="auto")
+    untouched = coarsen_jointly((small, big), bins=8, exact_cap=10_000)
     assert untouched == (small, big)
-    forced = coarsen_jointly((small,), bins=8, exact_cap=10_000, mode="binned")
+    forced = coarsen_jointly((small,), bins=8, exact_cap=1)
     assert forced[0].n <= 8
 
 
 def test_coarsen_jointly_exact_mode_never_bins():
-    big = EmpiricalDistribution.from_samples(np.linspace(0, 1, 2000))
-    assert coarsen_jointly((big,), bins=8, exact_cap=10, mode="exact") == (big,)
+    # exactly exact_cap support points stays exact; one more bins the group
+    small = EmpiricalDistribution.from_samples(np.linspace(0, 1, 50))
+    at_cap = EmpiricalDistribution.from_samples(np.linspace(0, 1, 2000))
+    out = coarsen_jointly((small, at_cap), bins=8, exact_cap=2000)
+    assert len(out) == 2 and out[0] is small and out[1] is at_cap
+    over = coarsen_jointly((small, at_cap), bins=8, exact_cap=1999)
+    assert over[0].n <= 8 and over[1].n <= 8
 
 
 def test_coarsen_jointly_degenerate_range_passthrough():
     point = EmpiricalDistribution.from_samples([2.0, 2.0, 2.0])
-    assert coarsen_jointly((point, point), bins=8, exact_cap=1, mode="binned") == (point, point)
+    assert coarsen_jointly((point, point), bins=8, exact_cap=1) == (point, point)

@@ -131,6 +131,24 @@ def test_json_manifest_and_group_sizes(tmp_path):
     assert sizes == {"B": 2, "C": 1}
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_byte_order_mark_manifest_loads_like_plain(tmp_path, suffix):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+    fields = {"id": "r0", "input_path": "a.nii", "target_path": "b.nii",
+              "pred_path": "c.nii", "site_in": "A", "site_out": "B", "channel": "1"}
+    if suffix == ".csv":
+        text = ",".join(fields) + "\n" + ",".join(fields.values()) + "\n"
+    else:
+        text = json.dumps([fields])
+    plain, bom = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    records = load_manifest(bom)
+    assert records == load_manifest(plain)
+    assert records[0].id == "r0" and records[0].channel == 1
+
+
 def test_json_manifest_missing_field(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps([{"id": "x", "input_path": "a"}]))

@@ -210,5 +210,5 @@ def test_binned_agreement_on_gaussian_mixture():
     a = _u(np.concatenate([rng.normal(2, 0.5, 5000), rng.normal(6, 1.0, 5000)]))
     b = _u(np.concatenate([rng.normal(3, 0.7, 5000), rng.normal(8, 0.8, 5000)]))
     exact = wasserstein_1d(a, b)
-    ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1, mode="binned")
+    ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1)
     assert wasserstein_1d(ba, bb) == pytest.approx(exact, rel=0.01)
