@@ -51,7 +51,12 @@ from .synth import write_synthetic_dataset
 
 class _Parser(argparse.ArgumentParser):
     """argparse's default usage-error exit code is 2; this tool keeps 2
-    for data errors, so usage errors exit 1."""
+    for data errors, so usage errors exit 1. Flags must be spelled in
+    full, so a removed or mistyped flag is an error rather than a prefix
+    of another one (``--work`` is not ``--workers``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -8,6 +8,14 @@ them gives segments of constant integrand, so the distance is a finite
 sum, exact up to the rounding of one dot product, symmetric by
 construction, and exactly zero when the two distributions are equal.
 
+The stable merge order also gives the quantile each segment reads from
+either side: the number of breakpoints of `a` ahead of a merged position
+is the index into `a`, and the rest are the index into `b`. Where a
+breakpoint of `a` ties one of `b`, these counts run one ahead of the
+strict "breakpoints below" count, but only on the second of the tied
+pair, whose segment has zero width. So every term of the dot product is
+the same as with a binary search into either side, and so is the sum.
+
 The normalized pair divides the prediction's distance to the input and
 to the target by the input-to-target distance, which anchors the scale:
 a prediction equal to the input scores (0, 1), one equal to the target
@@ -29,17 +37,55 @@ NORMALIZER_EPS_FACTOR = 1e-9  # times the joint input/target intensity range
 
 
 def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
-    """Order-1 Wasserstein distance between two empirical distributions;
-    the int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹ samples each)."""
-    ca = np.cumsum(a.counts)
-    cb = np.cumsum(b.counts)
-    n_a, n_b = int(ca[-1]), int(cb[-1])
-    qa, qb = ca * n_b, cb * n_a  # integer breakpoints on the common scale N_a·N_b
-    q = np.sort(np.concatenate([qa, qb]), kind="stable")  # merges two sorted runs
-    widths = np.diff(q, prepend=0)
-    ia = np.searchsorted(qa, q, side="left")
-    ib = np.searchsorted(qb, q, side="left")
-    return float(np.dot(widths, np.abs(a.values[ia] - b.values[ib]))) / (n_a * n_b)
+    """Order-1 Wasserstein distance between two empirical distributions.
+
+    The int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹ samples
+    each); larger totals raise ``ValueError``. The gather indices come
+    from the stable merge order of the breakpoints, which is the same as
+    searching each breakpoint in both sides except on zero-width
+    segments (see the module docstring). The last breakpoint of both
+    sides is N_a·N_b, and stability puts `a`'s first, so only `a`'s
+    index runs past the end, on the final zero-width segment. Each step
+    runs in place and each temporary is dropped once used, so at most
+    four arrays of the merged length are alive at once.
+    """
+    n_a, n_b = _total(a.counts), _total(b.counts)
+    if n_a * n_b >= 2**63:
+        raise ValueError(
+            f"wasserstein_1d needs N_a·N_b < 2**63 for its int64 breakpoints, "
+            f"got N_a={n_a}, N_b={n_b}"
+        )
+    qa = np.cumsum(a.counts)
+    qa *= n_b  # integer breakpoints on the common scale N_a·N_b
+    qb = np.cumsum(b.counts)
+    qb *= n_a
+    q = np.concatenate([qa, qb])
+    del qa, qb
+    order = np.argsort(q, kind="stable")  # merges two sorted runs
+    widths = q[order]
+    del q
+    widths[1:] -= widths[:-1]  # numpy buffers the overlap: diff with prepend=0
+    from_a = order < a.n
+    del order
+    ia = np.cumsum(from_a)
+    ia -= from_a  # breakpoints of `a` strictly ahead of each merged position
+    del from_a
+    ib = np.arange(ia.size)
+    ib -= ia
+    np.minimum(ia, a.n - 1, out=ia)
+    d = a.values[ia]
+    del ia
+    d -= b.values[ib]
+    del ib
+    np.abs(d, out=d)
+    return float(np.dot(widths, d)) / (n_a * n_b)
+
+
+def _total(counts: np.ndarray) -> int:
+    """Sum of positive int64 counts as a Python int, exact where int64 would wrap."""
+    if counts.size * int(counts.max()) < 2**63:
+        return int(counts.sum())
+    return sum(counts.tolist())
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,25 @@ def wd_cdf_integral(a_values, a_weights, b_values, b_weights, subdiv: int = 8) -
     return total
 
 
+def wd_breakpoints_searchsorted(a, b) -> float:
+    """W1 from the merged integer quantile breakpoints, each segment's
+    quantiles found by binary search into either side's breakpoints.
+
+    ``a`` and ``b`` have sorted ``values`` and positive int64 ``counts``.
+    The library takes the same segments' indices from the merge order
+    instead; the two must agree bit for bit.
+    """
+    ca = np.cumsum(a.counts)
+    cb = np.cumsum(b.counts)
+    n_a, n_b = int(ca[-1]), int(cb[-1])
+    qa, qb = ca * n_b, cb * n_a
+    q = np.sort(np.concatenate([qa, qb]), kind="stable")
+    widths = np.diff(q, prepend=0)
+    ia = np.searchsorted(qa, q, side="left")
+    ib = np.searchsorted(qb, q, side="left")
+    return float(np.dot(widths, np.abs(a.values[ia] - b.values[ib]))) / (n_a * n_b)
+
+
 def mae_mse_direct(pred_flat, gt_flat, fg_flat) -> tuple[float, float]:
     """Two-pass loop over the union-foreground voxels (already normalized)."""
     abs_sum = 0.0

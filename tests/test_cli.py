@@ -254,6 +254,8 @@ def synth_manifest(tmp_path):
     ["--bg-threshold", "nan"],
     ["--bins", "64"],  # removed: --exact-cap is the one distance setting
     ["--exact"],
+    ["--exact", "5"],  # not an abbreviation of --exact-cap
+    ["--work", "2"],  # not an abbreviation of --workers
 ])
 def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting):
     # every volume is missing, so evaluating even one record would fail

@@ -1,4 +1,6 @@
 """Exact 1-D transport distance, the normalized pair, and verdicts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from harmbench.distribution import EmpiricalDistribution, coarsen_jointly
 from harmbench.errors import DegenerateNormalizer
 from harmbench.wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
 
-from oracles import wd_cdf_integral, wd_matching
+from oracles import wd_breakpoints_searchsorted, wd_cdf_integral, wd_matching
 
 
 def _u(samples):
@@ -112,6 +114,65 @@ def test_translating_one_point_mass_moves_distance_by_shift(x, c):
     assert wasserstein_1d(_u([x + c]), _u([far])) == pytest.approx(
         (far - x) - c, abs=1e-9
     )
+
+
+@st.composite
+def _tied_pair(draw):
+    """Two distributions whose quantile breakpoints tie often: integer
+    values, drawn counts, and N_b drawn freely, equal to N_a or a
+    multiple of it (so every breakpoint of `a` ties one of `b`)."""
+
+    def side(total):
+        cuts = draw(st.sets(st.integers(1, total - 1), max_size=12)) if total > 1 else set()
+        counts = np.diff([0, *sorted(cuts), total])
+        values = draw(st.lists(st.integers(-5, 5), min_size=counts.size, max_size=counts.size))
+        return EmpiricalDistribution(sorted(values), counts)
+
+    a = side(draw(st.integers(1, 30)))
+    n_a = int(a.counts.sum())
+    n_b = draw(st.one_of(st.integers(1, 30), st.just(n_a), st.integers(2, 4).map(lambda k: k * n_a)))
+    return a, side(n_b)
+
+
+@given(_tied_pair())
+@settings(max_examples=300, deadline=None)
+def test_merge_order_indices_match_binary_search_bit_for_bit(pair):
+    a, b = pair
+    assert wasserstein_1d(a, b) == wd_breakpoints_searchsorted(a, b)
+    assert wasserstein_1d(b, a) == wd_breakpoints_searchsorted(b, a)
+
+
+@pytest.mark.parametrize("a_counts,b_counts", [
+    ([2**32, 2**32], [2**32, 1]),  # each total fits int64, their product does not
+    ([2**62, 2**62], [1, 1]),  # the total 2**63 itself is past int64
+])
+def test_breakpoints_past_int64_are_refused(a_counts, b_counts):
+    a = EmpiricalDistribution([0.0, 1.0], a_counts)
+    b = EmpiricalDistribution([0.0, 1.0], b_counts)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            wasserstein_1d(x, y)
+
+
+def test_breakpoints_just_inside_int64_are_exact():
+    # N_a·N_b = 2**32·(2**31 - 1) = 2**63 - 2**32
+    a = EmpiricalDistribution([0.0, 1.0], [2**31, 2**31])
+    b = EmpiricalDistribution([0.0, 1.0], [2**30 - 1, 2**30])
+    assert wasserstein_1d(a, b) == pytest.approx(0.5 / (2**31 - 1), rel=1e-12)
+
+
+def test_peak_memory_is_four_merged_length_arrays():
+    rng = np.random.default_rng(8)
+    a = _u(rng.normal(100.0, 20.0, 200_000))
+    b = _u(rng.normal(110.0, 25.0, 200_003))
+    merged_bytes = (a.n + b.n) * 8
+    tracemalloc.start()
+    try:
+        wasserstein_1d(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * merged_bytes, f"peak {peak / merged_bytes:.2f} x merged length"
 
 
 # --------------------------------------------------------------- normalized
