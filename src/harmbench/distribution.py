@@ -74,8 +74,8 @@ class EmpiricalDistribution:
 
     @property
     def weights(self) -> np.ndarray:
-        """Probability of each support point, ``counts / counts.sum()``."""
-        return self.counts / self.counts.sum()
+        """Probability of each support point, the counts over their exact total."""
+        return self.counts / float(_total(self.counts))
 
     @property
     def support_min(self) -> float:
@@ -91,6 +91,13 @@ class EmpiricalDistribution:
         return np.array_equal(self.values, other.values) and np.array_equal(
             self.counts, other.counts
         )
+
+
+def _total(counts: np.ndarray) -> int:
+    """Sum of positive int64 counts as a Python int, exact where int64 would wrap."""
+    if counts.size * int(counts.max()) < 2**63:
+        return int(counts.sum())
+    return sum(counts.tolist())
 
 
 def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distribution import EmpiricalDistribution
+from .distribution import EmpiricalDistribution, _total
 from .errors import DegenerateNormalizer
 
 DEFAULT_VERDICT_TOL = 0.05
@@ -79,13 +79,6 @@ def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     del ib
     np.abs(d, out=d)
     return float(np.dot(widths, d)) / (n_a * n_b)
-
-
-def _total(counts: np.ndarray) -> int:
-    """Sum of positive int64 counts as a Python int, exact where int64 would wrap."""
-    if counts.size * int(counts.max()) < 2**63:
-        return int(counts.sum())
-    return sum(counts.tolist())
 
 
 @dataclass(frozen=True)

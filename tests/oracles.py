@@ -168,3 +168,15 @@ def label_counts_direct(labels_flat) -> dict[int, int]:
         v = int(v)
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def sphere_mask_full_grid(dims, center, radius) -> np.ndarray:
+    """Flat x-fastest mask of the voxels with d² <= r², with d² computed
+    over the whole grid and raveled in Fortran order."""
+    nx, ny, nz = dims
+    x = np.arange(nx, dtype=np.float64)[:, None, None]
+    y = np.arange(ny, dtype=np.float64)[None, :, None]
+    z = np.arange(nz, dtype=np.float64)[None, None, :]
+    cx, cy, cz = center
+    d2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
+    return (d2 <= radius ** 2).ravel(order="F")

@@ -100,6 +100,12 @@ def test_distribution_invariants_enforced():
         EmpiricalDistribution([], [])
 
 
+def test_weights_exact_where_the_int64_total_wraps():
+    # 2**62 + 2**62 is 2**63, one past the int64 maximum
+    d = EmpiricalDistribution([0.0, 1.0], [2**62, 2**62])
+    np.testing.assert_array_equal(d.weights, [0.5, 0.5])
+
+
 # ---------------------------------------------------------------- binning
 
 

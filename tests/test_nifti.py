@@ -1,5 +1,6 @@
 """Volume I/O: header parsing, scaling, round trips, typed failures."""
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from harmbench.errors import (
     UnsupportedDatatype,
 )
 from harmbench.nifti import load_volume, parse_header, write_volume
+from harmbench.synth import PhantomSpec, Sphere, generate_phantom
 from harmbench.volume import VoxelGrid
 
 from nifti_fixtures import build_nifti, byteswap_nifti, corrupt_deflate
@@ -120,6 +122,42 @@ def test_gzip_writes_are_deterministic(tmp_path):
     write_volume(grid, a)
     write_volume(grid, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gzip_body_is_the_plain_file(tmp_path):
+    rng = np.random.default_rng(5)
+    grid = VoxelGrid((6, 5, 4), (1, 1, 1), rng.uniform(-10, 10, 120))
+    write_volume(grid, tmp_path / "v.nii")
+    write_volume(grid, tmp_path / "v.nii.gz")
+    plain = (tmp_path / "v.nii").read_bytes()
+    assert len(plain) == 352 + 4 * 120
+    assert gzip.decompress((tmp_path / "v.nii.gz").read_bytes()) == plain
+
+
+def test_gzip_header_is_platform_independent(tmp_path):
+    grid = VoxelGrid((2, 2, 2), (1, 1, 1), np.arange(8, dtype=np.float64))
+    path = tmp_path / "h.nii.gz"
+    write_volume(grid, path)
+    head = path.read_bytes()[:10]
+    assert head[:3] == b"\x1f\x8b\x08"  # deflate
+    assert head[3] == 0  # no file name
+    assert head[4:8] == b"\x00" * 4  # mtime
+    assert head[9] == 0xFF  # OS unknown, not the build's
+
+
+def test_write_peak_memory_stays_near_the_float32_image(tmp_path):
+    grid, _ = generate_phantom(
+        PhantomSpec((64, 64, 64), 3, (Sphere(1, (24.0, 32.0, 32.0), 10.0, 60.0, 6.0),
+                                      Sphere(2, (45.0, 32.0, 32.0), 7.0, 100.0, 8.0)))
+    )
+    image = grid.values.size * 4
+    tracemalloc.start()
+    try:
+        write_volume(grid, tmp_path / "m.nii.gz")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * image
 
 
 def test_big_endian_file_loads_identically(tmp_path):
@@ -278,8 +316,9 @@ def test_write_failure_maps_to_io_failure(tmp_path):
         write_volume(grid, tmp_path / "no" / "such" / "dir" / "x.nii")
 
 
-def test_write_rejects_float32_overflow(tmp_path):
-    grid = VoxelGrid((1, 1, 1), (1, 1, 1), [1e39])
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_write_rejects_float32_overflow(tmp_path, value):
+    grid = VoxelGrid((2, 1, 1), (1, 1, 1), [1.0, value])
     with pytest.raises(IoFailure):
         write_volume(grid, tmp_path / "x.nii")
 

@@ -1,6 +1,10 @@
 """Phantom generation determinism and the quantile-matching baseline."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmbench.anatomy import anatomy_preservation
 from harmbench.distribution import ForegroundPolicy, extract_foreground
@@ -9,12 +13,15 @@ from harmbench.synth import (
     PhantomSpec,
     SiteTransform,
     Sphere,
+    _sphere_indices,
     generate_phantom,
     histogram_match,
     write_synthetic_dataset,
 )
 from harmbench.volume import VoxelGrid
 from harmbench.wasserstein import Verdict, classify, nwd, wasserstein_1d
+
+from oracles import sphere_mask_full_grid
 
 
 def _spec(seed=1, dims=(32, 32, 32), transform=SiteTransform()):
@@ -79,6 +86,52 @@ def test_overlapping_spheres_rejected():
 def test_out_of_bounds_sphere_rejected():
     with pytest.raises(ValueError, match="leaves"):
         PhantomSpec((16, 16, 16), 1, (Sphere(1, (2.0, 8.0, 8.0), 4.0, 60.0, 6.0),))
+
+
+# radii whose sphere passes through lattice points (d² == r² exactly for
+# integer or half-integer centres), and a few that pass through none
+_RADII = st.one_of(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0, 2.5, math.sqrt(2), math.sqrt(3), math.sqrt(5),
+                     math.sqrt(0.5), math.sqrt(50)]),
+    st.floats(0.05, 25.0),
+)
+
+
+@st.composite
+def _grid_and_sphere(draw):
+    dims = tuple(draw(st.integers(1, 40)) for _ in range(3))
+    radius = draw(_RADII)
+    center = tuple(
+        draw(
+            st.one_of(
+                st.integers(0, d - 1).map(float),
+                st.integers(0, 2 * d - 2).map(lambda k: k / 2),
+                st.floats(-radius, d - 1 + radius),
+                # touching the low or the high face, the tightest PhantomSpec allows
+                st.sampled_from([radius, d - 1 - radius]),
+            )
+        )
+        for d in dims
+    )
+    return dims, Sphere(1, center, radius, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_sphere())
+@example(((40, 40, 40), Sphere(1, (20.0, 20.0, 20.0), 5.0, 0.0, 1.0)))
+@example(((7, 9, 11), Sphere(1, (3.0, 4.0, 5.0), 3.0, 0.0, 1.0)))
+@example(((12, 5, 30), Sphere(1, (1.5, 2.0, 10.5), 1.5, 0.0, 1.0)))
+@example(((1, 1, 1), Sphere(1, (0.0, 0.0, 0.0), math.sqrt(2), 0.0, 1.0)))
+# poles on the faces: x touches both, y the high one, z the low one
+@example(((7, 12, 40), Sphere(1, (3.0, 8.0, 3.0), 3.0, 0.0, 1.0)))
+# voxel (5, 6, 8) has d² == r² only when d² is summed x, y, then z
+@example(((10, 12, 14), Sphere(1, (3.587904926606913, 3.3636040818849358, 4.197153110260123),
+                               4.837999627961856, 0.0, 1.0)))
+def test_sphere_indices_match_the_full_grid_mask(case):
+    dims, sphere = case
+    got = _sphere_indices(dims, sphere)
+    want = np.flatnonzero(sphere_mask_full_grid(dims, sphere.center, sphere.radius))
+    np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------- matching
