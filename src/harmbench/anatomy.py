@@ -44,12 +44,17 @@ def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> La
     if grid.channel_count != 1:
         raise ValueError("label volumes are single-channel")
     values = grid.values
-    # Range first: casting a value outside int64 has no defined result.
-    if values.min() < 0 or values.max() >= 2.0 ** 63:
+    if values.dtype.kind == "f":
+        # Range first: casting a value outside int64 has no defined result.
+        if values.min() < 0 or values.max() >= 2.0 ** 63:
+            raise ValueError(_NOT_LABELS)
+        labels = values.astype(np.int64)
+        if not np.array_equal(labels, values):
+            raise ValueError(_NOT_LABELS)
+    elif values.min() < 0:
         raise ValueError(_NOT_LABELS)
-    labels = values.astype(np.int64)
-    if not np.array_equal(labels, values):
-        raise ValueError(_NOT_LABELS)
+    else:
+        labels = values
     seg = LabelVolume(grid.dims, grid.spacing, labels)
     if legend is None:
         return seg

@@ -100,14 +100,26 @@ def _total(counts: np.ndarray) -> int:
     return sum(counts.tolist())
 
 
+# The float64 loop of ``>``, which casts the voxels in buffered chunks.
+# Left to its promotion rules, numpy compares float32 voxels with a
+# Python float in float32 (numpy 1.x does so for int16 voxels too), so
+# a voxel of float32(0.1) would not pass a threshold of 0.1, nor an
+# int16 5 one of 4.9999999.
+_ABOVE_IN_FLOAT64 = (np.float64, np.float64, np.bool_)
+
+
 def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
-    """Flat boolean mask of foreground voxels for a single-channel grid."""
+    """Flat boolean mask of foreground voxels for a single-channel grid.
+
+    The threshold is compared in float64 whatever the grid's dtype,
+    without a float64 copy of the grid.
+    """
     if grid.channel_count != 1:
         raise ValueError(
             "foreground extraction is single-channel; select a channel first"
         )
     if policy.mask is None:
-        return grid.values > policy.threshold
+        return np.greater(grid.values, policy.threshold, signature=_ABOVE_IN_FLOAT64)
     mask = policy.mask
     if mask.dims != grid.dims:
         raise DimsMismatch(f"mask dims {mask.dims} != grid dims {grid.dims}")

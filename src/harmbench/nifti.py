@@ -1,10 +1,11 @@
 """Single-file NIfTI-1 reader and writer.
 
 Parses the 348-byte binary header directly (both byte orders, inferred
-from the ``sizeof_hdr`` field reading as 348), applies ``scl_slope`` /
-``scl_inter`` intensity scaling, and widens voxel data to float64.
-Gzip containers are auto-detected from the leading two bytes, not the
-file extension. Paired ``.hdr``/``.img`` volumes (magic ``ni1``) are
+from the ``sizeof_hdr`` field reading as 348) and keeps the voxels in
+the file's own dtype, as a read-only view of the decoded file: only a
+``scl_slope`` / ``scl_inter`` scaling widens them to float64. Gzip
+containers are auto-detected from the leading two bytes, not the file
+extension. Paired ``.hdr``/``.img`` volumes (magic ``ni1``) are
 rejected: every referenced dataset ships single-file volumes, and the
 split layout would double the parser surface for nothing.
 
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    HarmbenchError,
     IoFailure,
     MalformedHeader,
     NonFiniteVoxel,
@@ -39,6 +41,7 @@ MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIRED = b"ni1\x00"
 GZIP_MAGIC = b"\x1f\x8b"
 _GZIP_LEVEL = 1  # write speed over size; see write_volume
+_DEFLATE_MAX_RATIO = 1032  # deflate's largest output per input byte
 
 # datatype code -> numpy dtype (byte order applied at read time)
 _DTYPES = {
@@ -80,15 +83,47 @@ class NiftiHeader:
 
 
 def _read_bytes(path: Path) -> bytes:
+    """The file's bytes, inflated when they start with the gzip magic.
+
+    A single-member gzip file is inflated by one zlib call into a buffer
+    of the size its ISIZE trailer declares, capped at what deflate can
+    expand the file to, so a forged trailer cannot allocate gigabytes;
+    zlib checks the CRC and the length. When that call fails, or its
+    output is not ISIZE long or lacks voxels the header asks for (a file
+    of several members), the file is decoded again member by member,
+    which also types the error.
+    """
     buf = path.read_bytes()
     if buf[:2] != GZIP_MAGIC:
         return buf
+    isize = int.from_bytes(buf[-4:], "little")
+    try:
+        out = zlib.decompress(buf, 31, min(isize, _DEFLATE_MAX_RATIO * len(buf)) or 1)
+    except zlib.error:
+        out = b""
+    if len(out) == isize and _holds_its_voxels(out):
+        return out
     try:
         return gzip.decompress(buf)
     except (gzip.BadGzipFile, zlib.error) as exc:
         raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
     except EOFError as exc:
         raise TruncatedData(f"{path}: truncated gzip stream") from exc
+
+
+def _holds_its_voxels(buf: bytes) -> bool:
+    """Whether ``buf`` has a valid header and all the voxel bytes it asks for.
+
+    zlib stops silently after the first gzip member, and a first member
+    as long as the last one's ISIZE passes the length check, so a
+    multi-member file is told apart by its missing data.
+    """
+    try:
+        hdr = parse_header(buf)
+    except HarmbenchError:
+        return False
+    offset, count = _voxel_span(hdr)
+    return len(buf) - offset >= count * _DTYPES[hdr.datatype].itemsize
 
 
 def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
@@ -169,6 +204,12 @@ def _grid_shape(hdr: NiftiHeader) -> tuple[tuple[int, int, int], int]:
     return (extents[0], extents[1], extents[2]), channels
 
 
+def _voxel_span(hdr: NiftiHeader) -> tuple[int, int]:
+    """(byte offset, voxel count) of the data ``hdr`` describes."""
+    (nx, ny, nz), channels = _grid_shape(hdr)
+    return int(round(hdr.vox_offset)), nx * ny * nz * channels
+
+
 def _spacing(hdr: NiftiHeader) -> tuple[float, float, float]:
     rank = hdr.dim[0]
     return tuple(hdr.pixdim[a] if a <= rank else 1.0 for a in (1, 2, 3))
@@ -177,24 +218,25 @@ def _spacing(hdr: NiftiHeader) -> tuple[float, float, float]:
 def load_volume(path: str | Path) -> VoxelGrid:
     """Read a plain or gzipped single-file NIfTI-1 volume.
 
-    Returns a float64 :class:`VoxelGrid` with ``scl_slope``/``scl_inter``
-    applied per the standard (slope 0 means no scaling).
+    The voxels keep the file's dtype in native byte order; they are a
+    read-only view of the decoded file unless it was big-endian. Only
+    ``scl_slope``/``scl_inter`` scaling, applied per the standard (slope
+    0 means no scaling), widens them to float64.
     """
     path = Path(path)
     buf = _read_bytes(path)
     hdr = parse_header(buf, name=str(path))
     dims, channels = _grid_shape(hdr)
-    count = dims[0] * dims[1] * dims[2] * channels
+    offset, count = _voxel_span(hdr)
 
     dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
-    offset = int(round(hdr.vox_offset))
     need = count * dtype.itemsize
     if len(buf) - offset < need:
         raise TruncatedData(
             f"{path}: need {need} data bytes at offset {offset}, file has "
             f"{max(len(buf) - offset, 0)}"
         )
-    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).astype(np.float64)
+    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
 
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if not (math.isfinite(slope) and math.isfinite(inter)):
@@ -202,8 +244,11 @@ def load_volume(path: str | Path) -> VoxelGrid:
     elif slope != 0.0 and (slope, inter) != (1.0, 0.0):
         if slope != 1.0:
             log.info("%s: applying scl_slope=%r scl_inter=%r", path, slope, inter)
+        values = values.astype(np.float64)
         values *= slope
         values += inter
+    if not values.dtype.isnative:
+        values = values.astype(values.dtype.newbyteorder("="))
 
     try:
         return VoxelGrid(dims, _spacing(hdr), values, channel_count=channels)
@@ -223,7 +268,12 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     """
     path = Path(path)
     values = grid.values
-    if max(-values.min(), values.max()) > np.finfo(np.float32).max:
+    # only a float wider than float32 can hold a value float32 cannot
+    if (
+        values.dtype.kind == "f"
+        and values.dtype.itemsize > 4
+        and max(-values.min(), values.max()) > np.finfo(np.float32).max
+    ):
         raise IoFailure(f"{path}: values exceed the float32 range")
 
     nx, ny, nz = grid.dims

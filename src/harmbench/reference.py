@@ -98,8 +98,8 @@ def _ssim_mean(
         start, stop = int(hit[0]), int(hit[-1]) + 1
         box.append(slice(start, stop))
         grown.append(slice(start, stop + w - 1))
-    x = (x[tuple(grown)] - lo) / scale
-    y = (y[tuple(grown)] - lo) / scale
+    x = (x[tuple(grown)].astype(np.float64) - lo) / scale
+    y = (y[tuple(grown)].astype(np.float64) - lo) / scale
     ux = _box_mean(x, w)
     uy = _box_mean(y, w)
     vx = _box_mean(x * x, w) - ux * ux
@@ -132,7 +132,8 @@ def paired_metrics(
         raise ValueError("paired metrics are single-channel; select a channel first")
 
     fg = foreground_mask(pred, policy) | foreground_mask(gt, policy)
-    p, g = pred.values[fg], gt.values[fg]
+    p = pred.values[fg].astype(np.float64)
+    g = gt.values[fg].astype(np.float64)
     if not p.size:
         raise EmptyForeground("neither image has foreground under this policy")
     lo = min(float(p.min()), float(g.min()))

@@ -143,6 +143,8 @@ def histogram_match(
     if not src_fg.any() or not ref_fg.any():
         raise EmptyForeground("histogram matching needs foreground on both sides")
 
+    # Either dtype gives the same unique inverse and counts, and interp
+    # reads r_values as float64; only the output must be widened.
     src = source.values[src_fg]
     ref = reference.values[ref_fg]
     s_values, s_inverse, s_counts = np.unique(src, return_inverse=True, return_counts=True)
@@ -151,7 +153,7 @@ def histogram_match(
     r_quantiles = np.cumsum(r_counts) / ref.size
     mapped_unique = np.interp(s_quantiles, r_quantiles, r_values)
 
-    out = source.values.copy()
+    out = source.values.astype(np.float64)
     out[src_fg] = mapped_unique[s_inverse]
     return VoxelGrid(source.dims, source.spacing, out, channel_count=source.channel_count)
 

@@ -3,8 +3,9 @@
 A :class:`VoxelGrid` is an immutable 3-D scalar intensity volume with
 physical voxel spacing; a :class:`LabelVolume` is its integer-labeled
 segmentation counterpart. Values live in flat arrays in x-fastest order
-(index ``i + nx*(j + ny*(k + nz*c))``), widened to float64 / int64 so all
-downstream math has one numeric contract.
+(index ``i + nx*(j + ny*(k + nz*c))``). A grid keeps the integer or float
+dtype it was given, so a loaded file costs its own width per voxel, and
+each metric widens to float64 only the voxels it reads; labels are int64.
 """
 from __future__ import annotations
 
@@ -30,7 +31,11 @@ class VoxelGrid:
     """3-D scalar intensity volume with voxel spacing in millimeters.
 
     ``values`` is flat, x-fastest, one ``nx*ny*nz`` block per channel.
-    Instances are immutable and safe to share across threads.
+    Integer and float arrays are kept in their own dtype (anything else
+    becomes float64), so arithmetic on them must widen explicitly: under
+    numpy's promotion rules ``float32 - 0.1`` stays float32. Float
+    values must be finite. Instances are immutable and safe to share
+    across threads.
     """
 
     dims: Dims
@@ -47,13 +52,18 @@ class VoxelGrid:
         spacing = tuple(float(s) for s in self.spacing)
         if any(not np.isfinite(s) or s <= 0 for s in spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
-        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        values = np.asarray(self.values).reshape(-1)
+        if values.dtype.kind not in "iuf":
+            values = values.astype(np.float64)
         expected = nx * ny * nz * int(self.channel_count)
         if values.size != expected:
             raise ValueError(
                 f"values length {values.size} != nx*ny*nz*channels = {expected}"
             )
-        if not np.isfinite(values).all():
+        # min and max carry any NaN or infinity, without a mask the size of the grid
+        if values.dtype.kind == "f" and not (
+            np.isfinite(values.min()) and np.isfinite(values.max())
+        ):
             raise NonFiniteVoxel("voxel values must all be finite")
         object.__setattr__(self, "dims", (nx, ny, nz))
         object.__setattr__(self, "spacing", spacing)
@@ -174,8 +184,9 @@ def _count_labels(labels: np.ndarray) -> dict[int, int]:
     if labels.min() < 0:
         raise ValueError("labels must be nonnegative")
     if int(labels.max()) < max(labels.size, _BINCOUNT_MIN_TABLE):
-        counts = np.bincount(labels)
-        present = np.flatnonzero(counts[1:]) + 1
+        # background is most of a segmentation; counting it would be most of the work
+        counts = np.bincount(labels[labels != 0])
+        present = np.flatnonzero(counts)
         return dict(zip(present.tolist(), counts[present].tolist()))
     present, counts = np.unique(labels, return_counts=True)
     keep = present != 0

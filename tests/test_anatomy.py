@@ -12,7 +12,7 @@ from harmbench.anatomy import (
     structure_volumes,
 )
 from harmbench.errors import NoCommonStructures, ZeroInputVolume
-from harmbench.volume import LabelVolume, VoxelGrid
+from harmbench.volume import LabelVolume, VoxelGrid, _count_labels
 
 from oracles import label_counts_direct
 
@@ -189,6 +189,24 @@ def test_voxel_counts_match_unique_oracle(values):
     assert seg.voxel_counts == expected
     assert list(seg.voxel_counts) == sorted(expected)
     assert seg.legend == {k: f"label-{k}" for k in expected}
+
+
+@given(
+    st.lists(st.integers(0, 300), min_size=1, max_size=200),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=100)
+def test_count_labels_matches_unique_oracle_on_mostly_background(values, background, seed):
+    labels = np.array(values, dtype=np.int64)
+    labels[np.random.default_rng(seed).random(labels.size) < background] = 0
+    present, counts = np.unique(labels, return_counts=True)
+    expected = {int(v): int(c) for v, c in zip(present, counts) if v != 0}
+    assert _count_labels(labels) == expected
+    assert list(_count_labels(labels)) == sorted(expected)
+    labels[0] = -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        _count_labels(labels)
 
 
 def test_huge_sparse_label_counted_without_a_table_that_large():

@@ -1,0 +1,91 @@
+"""Metrics on native-dtype grids equal the same metrics on their float64 widening.
+
+Loaded grids keep the file's dtype, so every metric must widen the
+voxels it reads before any arithmetic: numpy computes ``float32 - 0.1``
+and ``float32 > 0.1`` in float32. The thresholds below are not float32
+values, and the grids hold the voxels next to them.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmbench.anatomy import as_label_volume
+from harmbench.distribution import ForegroundPolicy, extract_foreground
+from harmbench.errors import HarmbenchError
+from harmbench.reference import SsimParams, paired_metrics
+from harmbench.synth import histogram_match
+from harmbench.volume import VoxelGrid
+
+THRESHOLDS = [0.0, 0.1, 0.3, 1.0 / 3.0, 4.9999999, -0.1]
+
+
+def _voxels(rng, n, dtype, threshold, near_share, integral, nonnegative):
+    """``n`` voxels of ``dtype``, about ``near_share`` of them at or next
+    to ``threshold`` and the rest spread over the intensity range."""
+    if dtype == np.float32:
+        t = np.float32(threshold)
+        near = [0.0, t, np.nextafter(t, np.float32(-1.0e9)), np.nextafter(t, np.float32(1.0e9))]
+        far = rng.uniform(-5.0, 200.0, n)
+    else:
+        t = math.floor(threshold)
+        near = [0, t - 1, t, t + 1, t + 2]
+        far = rng.integers(-300, 301, n)
+    values = np.where(rng.random(n) < near_share, rng.choice(np.array(near, dtype), n), far)
+    if integral:
+        values = np.round(values)
+    if nonnegative:
+        values = np.abs(values)
+    return values.astype(dtype)
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two native grids of one shape and dtype, and a foreground threshold."""
+    dims = tuple(draw(st.integers(3, 6)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    dtype = draw(st.sampled_from([np.float32, np.int16]))
+    threshold = draw(st.sampled_from(THRESHOLDS))
+    near_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    integral, nonnegative = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = (
+        VoxelGrid(
+            dims, (1, 1, 1),
+            _voxels(rng, n, dtype, threshold, near_share, integral, nonnegative),
+        )
+        for _ in "ab"
+    )
+    return a, b, threshold
+
+
+def _widened(grid):
+    return VoxelGrid(grid.dims, grid.spacing, grid.values.astype(np.float64))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HarmbenchError, ValueError) as exc:
+        return type(exc)
+
+
+@given(grid_pairs())
+@settings(max_examples=300, deadline=None)
+def test_metrics_equal_on_native_and_widened_grids(case):
+    a, b, threshold = case
+    assert a.values.dtype != np.float64
+    wa, wb = _widened(a), _widened(b)
+    policy = ForegroundPolicy(threshold=threshold)
+    ssim = SsimParams(window=3)
+
+    assert _outcome(extract_foreground, a, policy) == _outcome(extract_foreground, wa, policy)
+    assert _outcome(paired_metrics, a, b, policy, ssim) == _outcome(
+        paired_metrics, wa, wb, policy, ssim
+    )
+    assert _outcome(as_label_volume, a) == _outcome(as_label_volume, wa)
+    matched = _outcome(histogram_match, a, b, policy)
+    assert matched == _outcome(histogram_match, wa, wb, policy)
+    if isinstance(matched, VoxelGrid):
+        assert matched.values.dtype == np.float64

@@ -1,6 +1,7 @@
 """Volume I/O: header parsing, scaling, round trips, typed failures."""
 import gzip
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from harmbench.nifti import load_volume, parse_header, write_volume
 from harmbench.synth import PhantomSpec, Sphere, generate_phantom
 from harmbench.volume import VoxelGrid
 
-from nifti_fixtures import build_nifti, byteswap_nifti, corrupt_deflate
+from nifti_fixtures import DT_NUMPY, build_nifti, byteswap_nifti, corrupt_deflate
 
 
 def _write(tmp_path, blob, name="vol.nii"):
@@ -57,9 +58,43 @@ def test_x_fastest_layout(tmp_path):
 @pytest.mark.parametrize("datatype", [2, 4, 8, 16, 64])
 def test_all_supported_datatypes(tmp_path, datatype):
     data = np.array([0, 1, 2, 3, 5, 8, 13, 21]).reshape(2, 2, 2)
-    blob = build_nifti(data, datatype=datatype)
+    for byte_order in "<>":
+        blob = build_nifti(data, datatype=datatype, byte_order=byte_order)
+        grid = load_volume(_write(tmp_path, blob))
+        assert grid.values.dtype == np.dtype(DT_NUMPY[datatype])  # native byte order
+        assert not grid.values.flags.writeable
+        np.testing.assert_array_equal(grid.values, data.ravel(order="F"))
+
+
+@pytest.mark.parametrize("byte_order", ["<", ">"])
+def test_slope_widens_to_float64_and_stays_read_only(tmp_path, byte_order):
+    blob = build_nifti(
+        np.arange(8, dtype=np.int16), datatype=4, byte_order=byte_order,
+        dim=(3, 2, 2, 2, 1, 1, 1, 1), scl_slope=0.5, scl_inter=-1.0,
+    )
     grid = load_volume(_write(tmp_path, blob))
-    np.testing.assert_array_equal(grid.values, data.ravel(order="F").astype(np.float64))
+    assert grid.values.dtype == np.float64
+    assert not grid.values.flags.writeable
+    np.testing.assert_array_equal(grid.values, 0.5 * np.arange(8) - 1.0)
+
+
+def test_load_peak_memory_stays_near_the_decoded_file(tmp_path):
+    grid, _ = generate_phantom(
+        PhantomSpec((64, 64, 64), 3, (Sphere(1, (24.0, 32.0, 32.0), 10.0, 60.0, 6.0),
+                                      Sphere(2, (45.0, 32.0, 32.0), 7.0, 100.0, 8.0)))
+    )
+    path = tmp_path / "m.nii.gz"
+    write_volume(grid, path)
+    decoded = 352 + grid.values.size * 4
+    tracemalloc.start()
+    try:
+        loaded = load_volume(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.dtype == np.float32
+    np.testing.assert_array_equal(loaded.values, grid.values.astype(np.float32))
+    assert peak <= 1.25 * decoded
 
 
 def test_round_trip_bitwise_for_float32_values(tmp_path):
@@ -310,6 +345,50 @@ def test_multi_member_gzip_loads_like_one_member(tmp_path):
     assert load_volume(two) == load_volume(one)
 
 
+def test_equal_size_members_load_like_one_member(tmp_path):
+    # the first member is as long as the last one's ISIZE, so only the
+    # header's data size shows that one zlib call stopped early
+    plain = build_nifti(np.arange(496, dtype=np.float32))
+    assert len(plain) % 2 == 0
+    half = len(plain) // 2
+    two = gzip.compress(plain[:half], mtime=0) + gzip.compress(plain[half:], mtime=0)
+    assert load_volume(_write(tmp_path, two, "two.nii.gz")) == load_volume(
+        _write(tmp_path, plain, "one.nii")
+    )
+
+
+def test_empty_last_member_loads(tmp_path):
+    # bgzip ends every file with an empty member, whose ISIZE is 0
+    plain = build_nifti(np.arange(512, dtype=np.float32).reshape(8, 8, 8))
+    blob = gzip.compress(plain, mtime=0) + gzip.compress(b"", mtime=0)
+    assert load_volume(_write(tmp_path, blob, "bgz.nii.gz")) == load_volume(
+        _write(tmp_path, plain, "one.nii")
+    )
+
+
+def test_corrupt_member_after_the_voxels_is_malformed(tmp_path):
+    plain = build_nifti(np.arange(512, dtype=np.float32).reshape(8, 8, 8))
+    extra = bytearray(gzip.compress(b"trailing bytes", mtime=0))
+    extra[-8] ^= 0xFF  # its CRC
+    blob = gzip.compress(plain, mtime=0) + bytes(extra)
+    with pytest.raises(MalformedHeader, match="corrupt gzip"):
+        load_volume(_write(tmp_path, blob, "tail.nii.gz"))
+
+
+def test_forged_isize_is_capped_and_fails_typed(tmp_path):
+    blob = bytearray(build_nifti(np.zeros((2, 2, 2), np.float32), gzipped=True))
+    blob[-4:] = b"\xff\xff\xff\xff"
+    path = _write(tmp_path, bytes(blob), "forged.nii.gz")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeader, match="corrupt gzip"):
+            load_volume(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1032 * len(blob) + 2 ** 20
+
+
 def test_write_failure_maps_to_io_failure(tmp_path):
     grid = VoxelGrid((1, 1, 1), (1, 1, 1), [0.0])
     with pytest.raises(IoFailure):
@@ -321,6 +400,17 @@ def test_write_rejects_float32_overflow(tmp_path, value):
     grid = VoxelGrid((2, 1, 1), (1, 1, 1), [1.0, value])
     with pytest.raises(IoFailure):
         write_volume(grid, tmp_path / "x.nii")
+
+
+def test_integer_grid_writes_its_extremes_without_warnings(tmp_path):
+    values = np.array([-32768, 0, 32767, 7], dtype=np.int16)
+    grid = VoxelGrid((4, 1, 1), (1, 1, 1), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_volume(grid, tmp_path / "i16.nii")
+    back = load_volume(tmp_path / "i16.nii")
+    assert back.values.dtype == np.float32
+    assert back == grid
 
 
 def test_parse_header_exposes_fields():
