@@ -128,12 +128,17 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
     """Sorted multiset of foreground intensities, one count per voxel."""
-    samples = grid.values[foreground_mask(grid, policy)]
+    samples = grid.values[foreground_mask(grid, policy)]  # a copy, so sorted in place
     if not samples.size:
         raise EmptyForeground(
             "no voxel passes the foreground policy; wrong threshold or unusable image"
         )
-    return EmpiricalDistribution.from_samples(samples)
+    # Sorted in the grid's dtype, then widened: widening is exact and
+    # monotone, so the array is the one widening first would give, with
+    # no float64 copy but the result.
+    samples.sort()
+    ones = np.ones(samples.size, dtype=np.int64)
+    return EmpiricalDistribution(samples.astype(np.float64), ones)
 
 
 def coarsen(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +30,10 @@ from .nifti import write_volume
 from .volume import LabelVolume, VoxelGrid
 
 INTENSITY_FLOOR = 1e-3  # keeps foreground strictly positive through the site map
+# Volumes ``write_synthetic_dataset`` has in flight on its writer pool while
+# it renders the next phantom. Each holds its float64 grid and a float32
+# copy until written; on two cores a third gained little speed for that.
+_WRITES_IN_FLIGHT = 2
 
 
 @dataclass(frozen=True)
@@ -100,30 +106,38 @@ def _sphere_indices(dims: tuple[int, int, int], sphere: Sphere) -> np.ndarray:
     return (i + starts[0]) + nx * ((j + starts[1]) + ny * (k + starts[2]))
 
 
-def generate_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, LabelVolume]:
-    """Render a phantom: (intensity grid, matching label volume).
+def _render(spec: PhantomSpec, labels: np.ndarray | None = None) -> VoxelGrid:
+    """Intensity grid of ``spec``; each structure's label goes into ``labels`` if given.
 
-    Structures are drawn in listed order from one Philox stream, so the
-    raw anatomy depends only on (seed, dims, structures); two specs that
-    differ only in site_transform share identical underlying draws.
+    Structures are drawn in listed order from one Philox stream. Every
+    structure voxel is at least INTENSITY_FLOOR > 0, so a voxel is taken
+    exactly when its value is nonzero.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    n = spec.dims[0] * spec.dims[1] * spec.dims[2]
-    values = np.zeros(n)
-    labels = np.zeros(n, dtype=np.int64)
+    values = np.zeros(math.prod(spec.dims))
     for s in spec.structures:
         inside = _sphere_indices(spec.dims, s)
-        if (labels[inside] != 0).any():
+        if values[inside].any():
             raise OverlappingStructures(f"sphere {s.label} overlaps an earlier structure")
         draws = rng.normal(s.mean, s.std, size=inside.size)
         # clamp before the power map so noninteger gamma stays defined
         draws = np.maximum(draws, INTENSITY_FLOOR)
         values[inside] = np.maximum(spec.site_transform.apply(draws), INTENSITY_FLOOR)
-        labels[inside] = s.label
-    grid = VoxelGrid(spec.dims, spec.spacing, values)
+        if labels is not None:
+            labels[inside] = s.label
+    return VoxelGrid(spec.dims, spec.spacing, values)
+
+
+def generate_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, LabelVolume]:
+    """Render a phantom: (intensity grid, matching label volume).
+
+    The raw anatomy depends only on (seed, dims, structures); two specs
+    that differ only in site_transform share identical underlying draws.
+    """
+    labels = np.zeros(math.prod(spec.dims), dtype=np.int64)
+    grid = _render(spec, labels)
     legend = {s.label: f"label-{s.label}" for s in spec.structures}
-    seg = LabelVolume(spec.dims, spec.spacing, labels, legend)
-    return grid, seg
+    return grid, LabelVolume(spec.dims, spec.spacing, labels, legend)
 
 
 def histogram_match(
@@ -196,6 +210,12 @@ def write_synthetic_dataset(
     and the prediction is the input quantile-matched to the target. One
     shared label volume serves as both segmentations because the matcher
     never moves a voxel across the foreground boundary.
+
+    Volumes are compressed and written on a small pool, at most
+    ``_WRITES_IN_FLIGHT`` at a time, while this thread renders the next
+    phantom. Every random draw stays on this thread, so the bytes do not
+    depend on the timing. The first failed write raises its ``IoFailure``
+    once every started write has finished, and no manifest is written.
     """
     if sites < 2:
         raise ValueError("need at least 2 sites")
@@ -211,48 +231,61 @@ def write_synthetic_dataset(
     def anatomy_seed(k: int, role: int) -> int:
         return seed * 1_000_003 + 2 * k + role
 
-    _, seg = generate_phantom(PhantomSpec(dims, anatomy_seed(0, 0), structures))
-    seg_path = out_dir / "seg.nii.gz"
-    write_volume(VoxelGrid(dims, seg.spacing, seg.labels.astype(np.float64)), seg_path)
-
+    seg_name = "seg.nii.gz"
     rows = []
-    for k in range(n):
-        site_in = k % sites
-        site_out = (site_in + 1) % sites
-        t_in, t_out = _site_transform(site_in), _site_transform(site_out)
+    with ThreadPoolExecutor(_WRITES_IN_FLIGHT) as pool:
+        in_flight = deque()
 
-        grid_in, _ = generate_phantom(
-            PhantomSpec(dims, anatomy_seed(k, 0), structures, site_transform=t_in)
-        )
-        grid_gt, _ = generate_phantom(
-            PhantomSpec(dims, anatomy_seed(k, 0), structures, site_transform=t_out)
-        )
-        grid_tg, _ = generate_phantom(
-            PhantomSpec(dims, anatomy_seed(k, 1), target_structures, site_transform=t_out)
-        )
-        grid_pr = histogram_match(grid_in, grid_tg, policy)
+        def write(grid: VoxelGrid, name: str) -> None:
+            """Write ``grid`` on the pool, first waiting for the oldest write
+            when the cap is reached; a failed write raises here."""
+            if len(in_flight) == _WRITES_IN_FLIGHT:
+                in_flight.popleft().result()
+            in_flight.append(pool.submit(write_volume, grid, out_dir / name))
 
-        names = {
-            "input_path": f"input_{k:03d}.nii.gz",
-            "target_path": f"target_{k:03d}.nii.gz",
-            "pred_path": f"pred_{k:03d}.nii.gz",
-            "gt_path": f"gt_{k:03d}.nii.gz",
-        }
-        write_volume(grid_in, out_dir / names["input_path"])
-        write_volume(grid_tg, out_dir / names["target_path"])
-        write_volume(grid_pr, out_dir / names["pred_path"])
-        write_volume(grid_gt, out_dir / names["gt_path"])
-        rows.append(
-            {
-                "id": f"triplet-{k:03d}",
-                **names,
-                "seg_input_path": seg_path.name,
-                "seg_pred_path": seg_path.name,
-                "site_in": _site_name(site_in),
-                "site_out": _site_name(site_out),
-                "channel": "",
+        # record 0's input anatomy, at site 0's identity map
+        grid_in, seg = generate_phantom(PhantomSpec(dims, anatomy_seed(0, 0), structures))
+        write(VoxelGrid(dims, seg.spacing, seg.labels), seg_name)
+        del seg
+        for k in range(n):
+            site_in = k % sites
+            site_out = (site_in + 1) % sites
+            t_in, t_out = _site_transform(site_in), _site_transform(site_out)
+            names = {
+                "input_path": f"input_{k:03d}.nii.gz",
+                "target_path": f"target_{k:03d}.nii.gz",
+                "pred_path": f"pred_{k:03d}.nii.gz",
+                "gt_path": f"gt_{k:03d}.nii.gz",
             }
-        )
+
+            if k:
+                grid_in = _render(
+                    PhantomSpec(dims, anatomy_seed(k, 0), structures, site_transform=t_in)
+                )
+            write(
+                _render(PhantomSpec(dims, anatomy_seed(k, 0), structures, site_transform=t_out)),
+                names["gt_path"],
+            )
+            grid_tg = _render(
+                PhantomSpec(dims, anatomy_seed(k, 1), target_structures, site_transform=t_out)
+            )
+            grid_pr = histogram_match(grid_in, grid_tg, policy)
+            write(grid_in, names["input_path"])
+            write(grid_tg, names["target_path"])
+            write(grid_pr, names["pred_path"])
+            rows.append(
+                {
+                    "id": f"triplet-{k:03d}",
+                    **names,
+                    "seg_input_path": seg_name,
+                    "seg_pred_path": seg_name,
+                    "site_in": _site_name(site_in),
+                    "site_out": _site_name(site_out),
+                    "channel": "",
+                }
+            )
+        for future in in_flight:
+            future.result()
 
     manifest = out_dir / "manifest.csv"
     fieldnames = [

@@ -6,10 +6,23 @@ bug in the library cannot hide in a shared code path.
 """
 from __future__ import annotations
 
+import csv
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
+
+from harmbench.nifti import write_volume
+from harmbench.synth import (
+    PhantomSpec,
+    _site_name,
+    _site_transform,
+    _structures,
+    generate_phantom,
+    histogram_match,
+)
+from harmbench.volume import VoxelGrid
 
 
 @lru_cache(maxsize=16)
@@ -180,3 +193,36 @@ def sphere_mask_full_grid(dims, center, radius) -> np.ndarray:
     cx, cy, cz = center
     d2 = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
     return (d2 <= radius ** 2).ravel(order="F")
+
+
+def synthetic_dataset_serial(out_dir, *, sites: int, n: int, seed: int, size: int):
+    """``harmbench synth`` as one serial loop: every phantom rendered with
+    labels, the segmentation phantom rendered again as record 0's input,
+    labels written through a float64 copy, each volume written in turn."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dims = (size, size, size)
+    structures, target_structures = _structures(dims), _structures(dims, radius_scale=1.06)
+    _, seg = generate_phantom(PhantomSpec(dims, seed * 1_000_003, structures))
+    write_volume(VoxelGrid(dims, seg.spacing, seg.labels.astype(np.float64)), out_dir / "seg.nii.gz")
+    rows = []
+    for k in range(n):
+        site_in, site_out = k % sites, (k % sites + 1) % sites
+        t_in, t_out = _site_transform(site_in), _site_transform(site_out)
+        anatomy = seed * 1_000_003 + 2 * k
+        grid_in, _ = generate_phantom(PhantomSpec(dims, anatomy, structures, site_transform=t_in))
+        grid_gt, _ = generate_phantom(PhantomSpec(dims, anatomy, structures, site_transform=t_out))
+        grid_tg, _ = generate_phantom(
+            PhantomSpec(dims, anatomy + 1, target_structures, site_transform=t_out)
+        )
+        grid_pr = histogram_match(grid_in, grid_tg)
+        names = [f"{role}_{k:03d}.nii.gz" for role in ("input", "target", "pred", "gt")]
+        for grid, name in zip((grid_in, grid_tg, grid_pr, grid_gt), names):
+            write_volume(grid, out_dir / name)
+        rows.append([f"triplet-{k:03d}", *names, "seg.nii.gz", "seg.nii.gz",
+                     _site_name(site_in), _site_name(site_out), ""])
+    with open(out_dir / "manifest.csv", "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["id", "input_path", "target_path", "pred_path", "gt_path",
+                         "seg_input_path", "seg_pred_path", "site_in", "site_out", "channel"])
+        writer.writerows(rows)

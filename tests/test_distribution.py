@@ -139,6 +139,39 @@ def test_histogram_clamps_outliers_to_boundary_bins():
     np.testing.assert_array_equal(out.counts, [1, 2])
 
 
+
+@given(
+    st.sampled_from([np.float32, np.int16]),
+    st.integers(1, 400),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_foreground_is_the_sorted_float64_widening_byte_for_byte(dtype, n, threshold, seed):
+    """Sorting in the grid's dtype and then widening gives the bytes of
+    sorting the widened samples. Signed zeros compare equal and either
+    sort may order them either way, so the grids hold no -0.0."""
+    rng = np.random.default_rng(seed)
+    info = np.finfo(dtype) if dtype == np.float32 else np.iinfo(dtype)
+    special = np.array([info.min, info.max, 0, 1, 2], dtype=dtype)
+    if dtype == np.float32:
+        special = np.append(special, [info.tiny, np.float32(0.1), np.nextafter(np.float32(0.1), 1)])
+        spread = rng.uniform(-200.0, 200.0, n).astype(dtype)
+    else:
+        spread = rng.integers(info.min, info.max, n, endpoint=True).astype(dtype)
+    values = np.where(rng.random(n) < 0.3, rng.choice(special, n), spread).astype(dtype)
+    values[values == 0] = 0  # no -0.0
+    grid = VoxelGrid((n, 1, 1), (1, 1, 1), values)
+    policy = ForegroundPolicy(threshold=threshold)
+    mask = foreground_mask(grid, policy)
+    if not mask.any():
+        return
+    dist = extract_foreground(grid, policy)
+    want = np.sort(values[mask].astype(np.float64))
+    assert dist.values.dtype == np.float64
+    assert dist.values.tobytes() == want.tobytes()
+    assert dist.counts.tolist() == [1] * want.size
+
 def test_histogram_uniform_counts_near_uniform():
     rng = np.random.default_rng(123)
     dist = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 1000))

@@ -1,14 +1,18 @@
 """Phantom generation determinism and the quantile-matching baseline."""
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmbench import synth
 from harmbench.anatomy import anatomy_preservation
 from harmbench.distribution import ForegroundPolicy, extract_foreground
-from harmbench.errors import EmptyForeground, OverlappingStructures
+from harmbench.errors import EmptyForeground, IoFailure, OverlappingStructures
 from harmbench.synth import (
     PhantomSpec,
     SiteTransform,
@@ -21,7 +25,7 @@ from harmbench.synth import (
 from harmbench.volume import VoxelGrid
 from harmbench.wasserstein import Verdict, classify, nwd, wasserstein_1d
 
-from oracles import sphere_mask_full_grid
+from oracles import sphere_mask_full_grid, synthetic_dataset_serial
 
 
 def _spec(seed=1, dims=(32, 32, 32), transform=SiteTransform()):
@@ -257,3 +261,49 @@ def test_dataset_alternates_directions(tmp_path):
     manifest = write_synthetic_dataset(tmp_path / "d", sites=2, n=4, seed=5, size=24)
     text = manifest.read_text()
     assert "A,B" in text and "B,A" in text
+
+
+@pytest.mark.parametrize("sites, n", [(3, 5), (2, 0)])
+def test_dataset_equals_the_serial_loop_byte_for_byte(tmp_path, sites, n):
+    write_synthetic_dataset(tmp_path / "pipelined", sites=sites, n=n, seed=7, size=24)
+    synthetic_dataset_serial(tmp_path / "serial", sites=sites, n=n, seed=7, size=24)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert sorted(p.name for p in (tmp_path / "pipelined").iterdir()) == names
+    assert len(names) == 4 * n + 2  # the segmentation and the manifest too
+    for name in names:
+        assert (tmp_path / "pipelined" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+
+
+def test_failed_write_raises_and_leaves_no_manifest_or_thread(tmp_path):
+    out = tmp_path / "d"
+    (out / "pred_002.nii.gz").mkdir(parents=True)
+    threads = threading.active_count()
+    with pytest.raises(IoFailure, match="pred_002"):
+        write_synthetic_dataset(out, sites=3, n=5, seed=5, size=24)
+    assert not (out / "manifest.csv").exists()
+    assert threading.active_count() == threads
+
+
+def test_writes_in_flight_bound_peak_memory(tmp_path, monkeypatch):
+    """Peak traced memory stays under 10 float64 grids although every write
+    is slowed, as on a slow disk: the thread rendering holds at most five
+    grids (input, target, prediction, a new phantom and a temporary), and
+    each of the two writes in flight at most one more with its float32
+    copy. Were writes not capped, the 17 volumes would queue up."""
+    size = 64
+    grid_bytes = 8 * size ** 3
+    write = synth.write_volume
+
+    def slow_write(grid, path):
+        time.sleep(0.02)
+        write(grid, path)
+
+    monkeypatch.setattr(synth, "write_volume", slow_write)
+    tracemalloc.start()
+    try:
+        write_synthetic_dataset(tmp_path / "d", sites=3, n=4, seed=5, size=size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "d").glob("*.nii.gz"))) == 17
+    assert peak <= 10 * grid_bytes
