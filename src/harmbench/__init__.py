@@ -32,6 +32,8 @@ from .harness import (
     format_mean_std,
     load_manifest,
     parse_report_json,
+    read_results,
+    row_cells,
     summarize,
 )
 from .nifti import NiftiHeader, load_volume, parse_header, write_volume
@@ -48,7 +50,8 @@ __all__ = [
     "EmpiricalDistribution", "ForegroundPolicy", "coarsen", "coarsen_jointly",
     "extract_foreground", "foreground_mask",
     "EvalConfig", "EvaluationRow", "MetricSummary", "SummaryTable", "TripletRecord",
-    "emit_report", "evaluate_all", "format_mean_std", "load_manifest", "parse_report_json", "summarize",
+    "emit_report", "evaluate_all", "format_mean_std", "load_manifest", "parse_report_json",
+    "read_results", "row_cells", "summarize",
     "NiftiHeader", "load_volume", "parse_header", "write_volume",
     "PairedMetricRow", "SsimParams", "paired_metrics",
     "CorrelationMatrix", "MetricSeries", "correlation_matrix", "mean_std", "spearman",

@@ -5,12 +5,9 @@ Exit codes are stable: 0 success, 1 usage error, 2 data error. With
 (non-finite floats are rendered as strings so the document stays valid
 for strict parsers).
 
-Config precedence is flag > environment variable > built-in default;
-the recognized variables are HARMBENCH_BG_THRESHOLD and
-HARMBENCH_WORKERS, parsed and checked like the flag they default.
-Every setting is validated once, before any volume is read, and a bad
-flag or variable value is a usage error that names the flag or the
-variable.
+Flags are the only source of settings; a flag left unset keeps the
+built-in default. Every setting is validated once, before any volume
+is read, and a bad value is a usage error.
 """
 from __future__ import annotations
 
@@ -18,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,20 +23,17 @@ from .anatomy import as_label_volume
 from .distribution import ForegroundPolicy
 from .errors import HarmbenchError, NoSuccessfulRows
 from .harness import (
-    METRIC_ORDER,
     EvalConfig,
     anatomy_metrics,
     emit_report,
     evaluate_all,
-    group_key,
     intensity_metrics,
     load_manifest,
     load_segmentation,
-    read_meta,
-    read_rows_csv,
+    read_results,
+    row_cells,
     series_from_rows,
     summarize,
-    summarize_groups,
     write_rows_csv,
 )
 from .nifti import load_volume
@@ -128,40 +121,18 @@ def _add_ssim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=float)
 
 
-# flag dest -> (the variable that defaults it, parser)
-_ENV_DEFAULTS = {
-    "bg_threshold": ("HARMBENCH_BG_THRESHOLD", float),
-    "workers": ("HARMBENCH_WORKERS", int),
-}
-
-
-def _eval_config(settings: dict) -> EvalConfig:
-    """EvalConfig from parsed flag values; a flag left unset (None) keeps
-    the built-in default. Raises ValueError on a bad value."""
-    given = {k: v for k, v in settings.items() if v is not None}
-    fields = {f.name: given[f.name] for f in dataclasses.fields(EvalConfig) if f.name in given}
-    if "bg_threshold" in given:
-        fields["policy"] = ForegroundPolicy(threshold=given["bg_threshold"])
-    fields["ssim"] = SsimParams(**{k: given[k] for k in ("window", "k1", "k2") if k in given})
-    return EvalConfig(**fields)
-
-
 def _config(ns) -> EvalConfig:
     """The run's one EvalConfig, from whichever of its flags the
-    subcommand has; an absent flag takes its variable's value, checked
-    on its own so that an error names the variable. Settings are checked
-    before the --fg-mask volume is read; a bad one raises _UsageError."""
-    given = vars(ns)
-    for dest, (var, parse) in _ENV_DEFAULTS.items():
-        raw = os.environ.get(var)
-        if raw and dest in given and given[dest] is None:
-            try:
-                given[dest] = parse(raw)
-                _eval_config({dest: given[dest]})
-            except ValueError as exc:
-                raise _UsageError(f"{var}={raw!r}: {exc}") from exc
+    subcommand has; a flag left unset (None) keeps the built-in default.
+    Settings are checked before the --fg-mask volume is read; a bad one
+    raises _UsageError."""
+    given = {k: v for k, v in vars(ns).items() if v is not None}
+    fields = {f.name: given[f.name] for f in dataclasses.fields(EvalConfig) if f.name in given}
     try:
-        config = _eval_config(given)
+        if "bg_threshold" in given:
+            fields["policy"] = ForegroundPolicy(threshold=given["bg_threshold"])
+        fields["ssim"] = SsimParams(**{k: given[k] for k in ("window", "k1", "k2") if k in given})
+        config = EvalConfig(**fields)
     except ValueError as exc:
         raise _UsageError(exc) from exc
     if given.get("fg_mask"):
@@ -215,7 +186,7 @@ def _cmd_refmetrics(ns, config: EvalConfig) -> int:
 
 
 def _cmd_corr(ns, config: EvalConfig) -> int:
-    raw = read_rows_csv(ns.in_path)
+    _, raw = read_results(ns.in_path)
     row_names = [s.strip() for s in ns.rows.split(",") if s.strip()]
     col_names = [s.strip() for s in ns.cols.split(",") if s.strip()]
     # a file without rows is a data error, whatever names are asked for
@@ -239,6 +210,8 @@ def _cmd_corr(ns, config: EvalConfig) -> int:
 
 
 def _cmd_evaluate(ns, config: EvalConfig) -> int:
+    if ns.out and (ns.out.is_dir() or not ns.out.parent.is_dir()):
+        raise _UsageError(f"--out {ns.out}: not a file in an existing directory")
     records = load_manifest(ns.manifest)
     meta = {"version": __version__, **config.to_meta()}
     if ns.fg_mask:
@@ -252,7 +225,7 @@ def _cmd_evaluate(ns, config: EvalConfig) -> int:
         return 2
     if ns.out:
         write_rows_csv(rows, ns.out, meta)
-    tables = summarize(rows, ns.group_by)
+    tables = summarize(map(row_cells, rows), ns.group_by)
     fmt = "json" if ns.json else ns.report
     sys.stdout.buffer.write(emit_report(tables, fmt, meta))
     sys.stdout.buffer.flush()
@@ -260,9 +233,14 @@ def _cmd_evaluate(ns, config: EvalConfig) -> int:
 
 
 def _cmd_synth(ns, config: EvalConfig) -> int:
-    manifest = write_synthetic_dataset(
-        ns.out, sites=ns.sites, n=ns.n, seed=ns.seed, size=ns.size
-    )
+    if ns.n < 1:
+        raise _UsageError(f"--n must be >= 1, got {ns.n}")
+    try:
+        manifest = write_synthetic_dataset(
+            ns.out, sites=ns.sites, n=ns.n, seed=ns.seed, size=ns.size
+        )
+    except ValueError as exc:  # raised before --out is created
+        raise _UsageError(exc) from exc
     if ns.json:
         _print_json({"manifest": str(manifest)})
     else:
@@ -271,18 +249,10 @@ def _cmd_synth(ns, config: EvalConfig) -> int:
 
 
 def _cmd_report(ns, config: EvalConfig) -> int:
-    raw = read_rows_csv(ns.in_path)
-    ok = [r for r in raw if r.get("status") == "ok"]
-    if not ok:
-        raise NoSuccessfulRows("results file has no successful rows")
-    meta = {"version": __version__, **read_meta(ns.in_path)}
-    groups = [
-        (group_key(r["site_in"], r["site_out"], ns.group_by),
-         {m: float(r[m]) for m in METRIC_ORDER if (r.get(m) or "").strip()})
-        for r in ok
-    ]
+    meta, rows = read_results(ns.in_path)
+    tables = summarize(rows, ns.group_by)
     fmt = "json" if ns.json else ns.format
-    sys.stdout.buffer.write(emit_report(summarize_groups(groups), fmt, meta))
+    sys.stdout.buffer.write(emit_report(tables, fmt, {"version": __version__, **meta}))
     sys.stdout.buffer.flush()
     return 0
 

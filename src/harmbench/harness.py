@@ -19,6 +19,7 @@ import threading
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -408,22 +409,6 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     return rows
 
 
-def metric_values(row: EvaluationRow) -> dict[str, float]:
-    """Flat metric dict for one successful row, in report column order."""
-    out: dict[str, float] = {}
-    if row.reference is not None:
-        out["ssim"] = row.reference.ssim
-        out["psnr"] = row.reference.psnr_db
-        out["mae"] = row.reference.mae
-        out["mse"] = row.reference.mse
-    if row.wd is not None:
-        out["nwd_ip"] = row.wd.nwd_ip
-        out["nwd_tp"] = row.wd.nwd_tp
-    if row.ap is not None:
-        out["ap"] = row.ap.mean_ap
-    return out
-
-
 # ---------------------------------------------------------------- summaries
 
 
@@ -444,18 +429,34 @@ class SummaryTable:
     metrics: dict[str, MetricSummary]
 
 
-def summarize_groups(
-    groups: Iterable[tuple[str, dict[str, float]]]
-) -> list[SummaryTable]:
-    """Aggregate (group, metric dict) pairs into per-group tables."""
-    by_group: dict[str, list[dict[str, float]]] = {}
-    for key, metrics in groups:
-        by_group.setdefault(key, []).append(metrics)
+def group_key(site_in: str, site_out: str, group_by: str = "direction") -> str:
+    """The summary group of one row: its site direction or its target site."""
+    if group_by == "direction":
+        return f"{site_in}→{site_out}"
+    if group_by == "site_out":
+        return site_out
+    raise ValueError(f"group_by must be 'direction' or 'site_out', got {group_by!r}")
+
+
+def summarize(rows: Iterable[dict[str, str]], group_by: str = "direction") -> list[SummaryTable]:
+    """Mean ± std per metric per group over the successful rows.
+
+    A row is its results-file cells, as :func:`row_cells` makes them and
+    :func:`read_results` reads them back; an empty cell is a metric the
+    row did not measure. Groups come in lexicographic order.
+    """
+    by_group: dict[str, list[dict[str, str]]] = {}
+    for row in rows:
+        if row.get("status") == "ok":
+            key = group_key(row["site_in"], row["site_out"], group_by)
+            by_group.setdefault(key, []).append(row)
+    if not by_group:
+        raise NoSuccessfulRows("no successful rows to summarize")
     tables = []
     for key in sorted(by_group):
         columns: dict[str, MetricSummary] = {}
         for metric in METRIC_ORDER:
-            values = [m[metric] for m in by_group[key] if metric in m]
+            values = [float(row[metric]) for row in by_group[key] if row.get(metric)]
             if not values:
                 continue
             series = MetricSeries(metric, values)
@@ -467,25 +468,6 @@ def summarize_groups(
                 columns[metric] = MetricSummary(mean, std, len(values) - sentinels, sentinels)
         tables.append(SummaryTable(group=key, metrics=columns))
     return tables
-
-
-def group_key(site_in: str, site_out: str, group_by: str = "direction") -> str:
-    """The summary group of one row: its site direction or its target site."""
-    if group_by == "direction":
-        return f"{site_in}→{site_out}"
-    if group_by == "site_out":
-        return site_out
-    raise ValueError(f"group_by must be 'direction' or 'site_out', got {group_by!r}")
-
-
-def summarize(rows: Sequence[EvaluationRow], group_by: str = "direction") -> list[SummaryTable]:
-    """Mean ± std per metric per group over the successful rows."""
-    ok = [r for r in rows if r.ok]
-    if not ok:
-        raise NoSuccessfulRows("no successful rows to summarize")
-    return summarize_groups(
-        (group_key(r.site_in, r.site_out, group_by), metric_values(r)) for r in ok
-    )
 
 
 # ------------------------------------------------------------------ reports
@@ -594,10 +576,34 @@ def parse_report_json(data: bytes | str) -> list[SummaryTable]:
 # ------------------------------------------------------------ row persistence
 
 
-def _fmt_opt(v: float | int | None) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
+def row_cells(row: EvaluationRow) -> dict[str, str]:
+    """The results-file cells of one row, keyed by ``ROW_COLUMNS``.
+
+    A value the row did not measure is an empty cell. Floats are written
+    with ``repr``, so ``float`` reads each one back exactly.
+    """
+    def cell(part, attr: str) -> str:
+        return "" if part is None else repr(float(getattr(part, attr)))
+
+    wd, ref = row.wd, row.reference
+    return {
+        "id": row.id,
+        "channel": "" if row.channel is None else str(row.channel),
+        "site_in": row.site_in,
+        "site_out": row.site_out,
+        "status": row.status,
+        "wd_it": cell(wd, "wd_it"),
+        "wd_ip": cell(wd, "wd_ip"),
+        "wd_tp": cell(wd, "wd_tp"),
+        "nwd_ip": cell(wd, "nwd_ip"),
+        "nwd_tp": cell(wd, "nwd_tp"),
+        "verdict": "" if row.verdict is None else row.verdict.kind.value,
+        "ap": cell(row.ap, "mean_ap"),
+        "ssim": cell(ref, "ssim"),
+        "psnr": cell(ref, "psnr_db"),
+        "mae": cell(ref, "mae"),
+        "mse": cell(ref, "mse"),
+    }
 
 
 def rows_to_csv_bytes(rows: Sequence[EvaluationRow], meta: dict | None = None) -> bytes:
@@ -605,28 +611,9 @@ def rows_to_csv_bytes(rows: Sequence[EvaluationRow], meta: dict | None = None) -
     buf = io.StringIO()
     for line in _meta_lines(meta, "#"):
         buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_COLUMNS)
-    for r in rows:
-        m = metric_values(r)
-        writer.writerow([
-            r.id,
-            "" if r.channel is None else r.channel,
-            r.site_in,
-            r.site_out,
-            r.status,
-            _fmt_opt(r.wd.wd_it if r.wd else None),
-            _fmt_opt(r.wd.wd_ip if r.wd else None),
-            _fmt_opt(r.wd.wd_tp if r.wd else None),
-            _fmt_opt(m.get("nwd_ip")),
-            _fmt_opt(m.get("nwd_tp")),
-            r.verdict.kind.value if r.verdict else "",
-            _fmt_opt(m.get("ap")),
-            _fmt_opt(m.get("ssim")),
-            _fmt_opt(m.get("psnr")),
-            _fmt_opt(m.get("mae")),
-            _fmt_opt(m.get("mse")),
-        ])
+    writer = csv.DictWriter(buf, ROW_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(row_cells, rows))
     return buf.getvalue().encode("utf-8")
 
 
@@ -634,27 +621,24 @@ def write_rows_csv(rows: Sequence[EvaluationRow], path: str | Path, meta: dict |
     Path(path).write_bytes(rows_to_csv_bytes(rows, meta))
 
 
-def read_meta(path: str | Path) -> dict:
-    """The ``# key: value`` lines heading a results CSV. The settings of
-    ``EvalConfig.to_meta`` get back the types they were written with;
-    any other value stays text."""
+def read_results(path: str | Path) -> tuple[dict, list[dict[str, str]]]:
+    """(meta, rows) of a results CSV, from one read.
+
+    ``meta`` is the ``# key: value`` lines heading the file; the settings
+    of ``EvalConfig.to_meta`` get back the types they were written with,
+    any other value stays text. ``rows`` are the cells of each row as
+    text, as :func:`row_cells` wrote them.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    head = list(takewhile(lambda line: line.startswith("#"), lines))
     types = {k: type(v) for k, v in EvalConfig().to_meta().items()}
     meta = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.startswith("#"):
-            break
+    for line in head:
         key, _, value = line[1:].partition(":")
         key, value = key.strip(), value.strip()
         kind = types.get(key, str)
         meta[key] = value == "True" if kind is bool else kind(value)
-    return meta
-
-
-def read_rows_csv(path: str | Path) -> list[dict[str, str]]:
-    """Read a per-row results CSV back as raw string dicts."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return list(csv.DictReader(io.StringIO("\n".join(lines))))
+    return meta, list(csv.DictReader(lines[len(head):]))
 
 
 def series_from_rows(

@@ -9,8 +9,10 @@ extension. Paired ``.hdr``/``.img`` volumes (magic ``ni1``) are
 rejected: every referenced dataset ships single-file volumes, and the
 split layout would double the parser surface for nothing.
 
-Orientation (qform/sform) is parsed into an opaque affine for
-provenance only; no metric in this package consumes it.
+Orientation is not carried into the loaded grid: ``load_volume``
+drops the header, and only ``parse_header(...).affine`` exposes the
+sform affine (the qform is not decoded). No metric in this package
+consumes orientation.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ class NiftiHeader:
 
     @property
     def affine(self) -> np.ndarray | None:
-        """sform affine when sform_code > 0, else None. Provenance only."""
+        """sform affine when sform_code > 0, else None; no metric reads it."""
         (sform_code,) = struct.unpack_from(self.byte_order + "h", self.raw, 254)
         if sform_code <= 0:
             return None

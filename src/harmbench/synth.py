@@ -73,6 +73,8 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "structures", tuple(self.structures))
+        if not 0 <= self.seed < 2 ** 128:
+            raise ValueError(f"seed must be in [0, 2**128), the Philox key range, got {self.seed}")
         if not self.structures:
             raise ValueError("phantom needs at least one structure")
         for s in self.structures:
@@ -216,20 +218,32 @@ def write_synthetic_dataset(
     phantom. Every random draw stays on this thread, so the bytes do not
     depend on the timing. The first failed write raises its ``IoFailure``
     once every started write has finished, and no manifest is written.
+    ``n=0`` writes the segmentation and a manifest without rows. A
+    setting no dataset can use (fewer than 2 sites, a negative ``n`` or
+    seed, a size the structures do not fit) raises ``ValueError`` before
+    ``out_dir`` is created.
     """
     if sites < 2:
-        raise ValueError("need at least 2 sites")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dims = (size, size, size)
-    structures = _structures(dims)
-    # the target is a different "subject": slightly larger structures, so
-    # its foreground count differs and matching actually interpolates
-    target_structures = _structures(dims, radius_scale=1.06)
-    policy = ForegroundPolicy()
+        raise ValueError(f"need at least 2 sites, got {sites}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
 
     def anatomy_seed(k: int, role: int) -> int:
         return seed * 1_000_003 + 2 * k + role
+
+    # Building the specs checks the geometry and the seed before
+    # anything is written.
+    dims = (size, size, size)
+    first = PhantomSpec(dims, anatomy_seed(0, 0), _structures(dims))
+    structures = first.structures
+    # the target is a different "subject": slightly larger structures, so
+    # its foreground count differs and matching actually interpolates
+    target_structures = PhantomSpec(
+        dims, first.seed, _structures(dims, radius_scale=1.06)
+    ).structures
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    policy = ForegroundPolicy()
 
     seg_name = "seg.nii.gz"
     rows = []
@@ -244,7 +258,7 @@ def write_synthetic_dataset(
             in_flight.append(pool.submit(write_volume, grid, out_dir / name))
 
         # record 0's input anatomy, at site 0's identity map
-        grid_in, seg = generate_phantom(PhantomSpec(dims, anatomy_seed(0, 0), structures))
+        grid_in, seg = generate_phantom(first)
         write(VoxelGrid(dims, seg.spacing, seg.labels), seg_name)
         del seg
         for k in range(n):

@@ -28,8 +28,8 @@ from harmbench.harness import (
     METRIC_ORDER,
     emit_report,
     format_mean_std,
-    read_rows_csv,
-    summarize_groups,
+    read_results,
+    summarize,
 )
 from harmbench.nifti import load_volume, write_volume
 from harmbench.reference import paired_metrics
@@ -292,7 +292,7 @@ def test_end_to_end_synthetic_pipeline(tmp_path, capsys):
     report_two = capsys.readouterr().out
     assert report_one == report_two, "json report not deterministic"
 
-    rows = read_rows_csv(first)
+    _, rows = read_results(first)
     assert len(rows) == 10
     assert all(r["status"] == "ok" for r in rows)
     nwd_tp = np.array([float(r["nwd_tp"]) for r in rows])
@@ -312,15 +312,14 @@ def test_report_fidelity():
     'x.xxx ± y.yyy' cell format for the literal (0.906, 0.038) fixture."""
     assert format_mean_std(0.906, 0.038) == "0.906 ± 0.038"
 
-    groups = []
+    rows = []
     for k in range(2):
-        groups.append((
-            "A→B",
-            {"ssim": 0.6 + 0.01 * k, "psnr": 17.0 + k, "mae": 0.07, "mse": 0.02,
-             "nwd_ip": 0.906 + 0.038 * (2 * k - 1) * math.sqrt(0.5),
-             "nwd_tp": 0.087, "ap": 0.97},
-        ))
-    tables = summarize_groups(groups)
+        metrics = {"ssim": 0.6 + 0.01 * k, "psnr": 17.0 + k, "mae": 0.07, "mse": 0.02,
+                   "nwd_ip": 0.906 + 0.038 * (2 * k - 1) * math.sqrt(0.5),
+                   "nwd_tp": 0.087, "ap": 0.97}
+        rows.append({"site_in": "A", "site_out": "B", "status": "ok",
+                     **{m: repr(v) for m, v in metrics.items()}})
+    tables = summarize(rows)
     got = tables[0].metrics["nwd_ip"]
     assert abs(got.mean - 0.906) < 1e-12
     assert abs(got.std - 0.038) < 1e-12
@@ -364,6 +363,69 @@ def test_full_suite_runtime_on_128_cube():
     assert 0.0 <= ref.ssim <= 1.0
     assert elapsed < 5.0, f"metric suite took {elapsed:.2f}s"
     print(f"PASS runtime-128-cube: nwd + anatomy + reference in {elapsed:.2f}s")
+
+
+def test_paper_claims_on_a_harmonization_ladder():
+    """On a ladder of predictions input + a·(matched - input), a in
+    {0, 0.25, ..., 1.5}, over four 48^3 anatomies: W1(input, pred_a) is
+    a·W1(input, pred_1) to 4 ulps, every rung lands in its verdict band,
+    and nWD(t,p) tracks the ground-truth metrics (Spearman >= 0.8 with
+    MAE, <= -0.8 with SSIM). A prediction segmentation with one structure
+    5% wider lowers AP and leaves the nWD pair bit-identical."""
+    dims = (48, 48, 48)
+
+    def spheres(scale_1=1.0, scale_2=1.0):
+        return (
+            Sphere(1, (17.28, 24.0, 24.0), 7.68 * scale_1, 60.0, 6.0),
+            Sphere(2, (33.6, 24.0, 24.0), 5.28 * scale_2, 100.0, 8.0),
+        )
+
+    site_b = SiteTransform(gain=1.6, bias=12.0, gamma=1.08)
+    policy = ForegroundPolicy()
+    alphas = [0.25 * k for k in range(7)]
+    bands = {0.0: Verdict.NO_HARMONIZATION, 1.0: Verdict.PERFECT,
+             1.25: Verdict.OVER_CORRECTED, 1.5: Verdict.OVER_CORRECTED}
+    start = time.perf_counter()
+    nwd_tp, mae, ssim, worst_ulps = [], [], [], 0.0
+    for k in range(4):
+        grid_i, seg = generate_phantom(PhantomSpec(dims, 5001 + k, spheres()))
+        grid_gt, _ = generate_phantom(PhantomSpec(dims, 5001 + k, spheres(), site_transform=site_b))
+        grid_t, _ = generate_phantom(
+            PhantomSpec(dims, 6001 + k, spheres(1.06, 1.06), site_transform=site_b)
+        )
+        matched = histogram_match(grid_i, grid_t, policy)
+        d_i = extract_foreground(grid_i, policy)
+        d_t = extract_foreground(grid_t, policy)
+        pairs = {}
+        for a in alphas:
+            values = grid_i.values + a * (matched.values - grid_i.values)
+            grid_p = VoxelGrid(dims, grid_i.spacing, values)
+            pairs[a] = nwd(d_i, d_t, extract_foreground(grid_p, policy))
+            assert classify(pairs[a]).kind is bands.get(a, Verdict.PARTIAL), (k, a, pairs[a])
+            ref = paired_metrics(grid_p, grid_gt, policy)
+            nwd_tp.append(pairs[a].nwd_tp)
+            mae.append(ref.mae)
+            ssim.append(ref.ssim)
+        for a in alphas:
+            want = a * pairs[1.0].wd_ip
+            ulps = abs(pairs[a].wd_ip - want) / np.spacing(want)
+            assert ulps <= 4, (k, a, pairs[a].wd_ip, want)
+            worst_ulps = max(worst_ulps, ulps)
+
+        # anatomy rung: pred_1's segmentation with structure 1 5% wider
+        _, seg_wide = generate_phantom(PhantomSpec(dims, 5001 + k, spheres(1.05)))
+        ap_same = anatomy_preservation(seg, seg).mean_ap
+        ap_wide = anatomy_preservation(seg, seg_wide).mean_ap
+        assert ap_wide < ap_same == 1.0
+        grid_p1 = VoxelGrid(dims, grid_i.spacing, grid_i.values + (matched.values - grid_i.values))
+        assert nwd(d_i, d_t, extract_foreground(grid_p1, policy)) == pairs[1.0]
+    rho_mae, rho_ssim = spearman(nwd_tp, mae), spearman(nwd_tp, ssim)
+    elapsed = time.perf_counter() - start
+    assert rho_mae >= 0.8, rho_mae
+    assert rho_ssim <= -0.8, rho_ssim
+    print(f"PASS paper-claims-ladder: W1 linear in a to {worst_ulps:.0f} ulps, "
+          f"every band hit, rho(nwd_tp, MAE) {rho_mae:.3f}, rho(nwd_tp, SSIM) {rho_ssim:.3f}, "
+          f"AP {ap_wide:.4f} on the wider rung, {elapsed:.2f}s")
 
 
 def test_nifti_corpus_round_trip_and_errors(tmp_path):

@@ -197,30 +197,6 @@ def test_synth_json_output(tmp_path, capsys):
     assert doc["manifest"].endswith("manifest.csv")
 
 
-def test_env_default_overridden_by_flag(volume_pair, capsys, monkeypatch):
-    monkeypatch.setenv("HARMBENCH_BG_THRESHOLD", "1e9")  # would empty the foreground
-    code = run([
-        "wd", "--bg-threshold", "0",
-        "--input", str(volume_pair / "a.nii"),
-        "--target", str(volume_pair / "b.nii"),
-        "--pred", str(volume_pair / "a.nii"),
-    ])
-    assert code == 0
-    capsys.readouterr()
-
-
-def test_env_default_used_without_flag(volume_pair, capsys, monkeypatch):
-    monkeypatch.setenv("HARMBENCH_BG_THRESHOLD", "1e9")
-    code = run([
-        "wd",
-        "--input", str(volume_pair / "a.nii"),
-        "--target", str(volume_pair / "b.nii"),
-        "--pred", str(volume_pair / "a.nii"),
-    ])
-    assert code == 2  # EmptyForeground: the env threshold really applied
-    capsys.readouterr()
-
-
 @given(
     st.lists(
         st.sampled_from(
@@ -272,18 +248,34 @@ def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting)
     assert not results.exists()
 
 
-@pytest.mark.parametrize("name,value", [
-    ("HARMBENCH_WORKERS", "abc"),
-    ("HARMBENCH_WORKERS", "0"),
-    ("HARMBENCH_BG_THRESHOLD", "abc"),
-    ("HARMBENCH_BG_THRESHOLD", "nan"),
+@pytest.mark.parametrize("out", ["missing/r.csv", "a-directory"])
+def test_unusable_out_is_usage_error_before_any_record(tmp_path, capsys, out):
+    # as above: evaluating even one record would exit 2
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "id,input_path,target_path,pred_path,site_in,site_out\n"
+        "x,missing.nii,missing.nii,missing.nii,A,B\n"
+    )
+    (tmp_path / "a-directory").mkdir()
+    code = run(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / out)])
+    assert code == 1
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory", "m.csv"]
+
+
+@pytest.mark.parametrize("setting", [
+    ["--sites", "1"],
+    ["--size", "0"],
+    ["--size", "1"],
+    ["--n", "-1"],
+    ["--n", "0"],
+    ["--seed", "-1"],
 ])
-def test_bad_env_value_is_usage_error(synth_manifest, capsys, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    assert run(["evaluate", "--manifest", str(synth_manifest)]) == 1
-    err = capsys.readouterr().err
-    assert value in err
-    assert name in err
+def test_bad_synth_setting_is_usage_error_before_out_is_created(tmp_path, capsys, setting):
+    out = tmp_path / "data"
+    assert run(["synth", "--out", str(out), *setting]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_results_file_identical_across_worker_counts(synth_manifest, tmp_path, capsys):
@@ -295,7 +287,7 @@ def test_results_file_identical_across_worker_counts(synth_manifest, tmp_path, c
 
 
 def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
-    from harmbench.harness import load_manifest, read_rows_csv
+    from harmbench.harness import load_manifest, read_results
 
     mask = synth_manifest.parent / "seg.nii.gz"
     plain, masked = tmp_path / "plain.csv", tmp_path / "masked.csv"
@@ -317,7 +309,7 @@ def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
     wd = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
     keys = ("wd_it", "wd_ip", "wd_tp", "nwd_ip", "nwd_tp", "verdict")
     masked_row, plain_row = (
-        next(r for r in read_rows_csv(path) if r["id"] == rec.id) for path in (masked, plain)
+        next(r for r in read_results(path)[1] if r["id"] == rec.id) for path in (masked, plain)
     )
     assert {k: masked_row[k] for k in keys} == {k: wd[k] for k in keys}
     assert {k: plain_row[k] for k in keys} != {k: wd[k] for k in keys}
@@ -325,7 +317,7 @@ def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
 
 def test_exact_cap_one_bins_every_triplet(synth_manifest, tmp_path, capsys):
     from harmbench.distribution import ForegroundPolicy, coarsen_jointly, extract_foreground
-    from harmbench.harness import load_manifest, read_rows_csv
+    from harmbench.harness import load_manifest, read_results
     from harmbench.nifti import load_volume
     from harmbench.wasserstein import nwd
 
@@ -334,7 +326,7 @@ def test_exact_cap_one_bins_every_triplet(synth_manifest, tmp_path, capsys):
                 "--exact-cap", "1"]) == 0
     capsys.readouterr()
     assert "# exact_cap: 1\n" in results.read_text()
-    rows = {r["id"]: r for r in read_rows_csv(results)}
+    rows = {r["id"]: r for r in read_results(results)[1]}
     for rec in load_manifest(synth_manifest):
         dists = [
             extract_foreground(load_volume(p), ForegroundPolicy())

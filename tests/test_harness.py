@@ -23,13 +23,12 @@ from harmbench.harness import (
     evaluate_all,
     format_mean_std,
     load_manifest,
-    metric_values,
     parse_report_json,
-    read_rows_csv,
+    read_results,
+    row_cells,
     rows_to_csv_bytes,
     series_from_rows,
     summarize,
-    summarize_groups,
     write_rows_csv,
 )
 from harmbench.nifti import load_volume, write_volume
@@ -211,7 +210,7 @@ def test_isolation_failed_row_does_not_change_good_rows(tiny_dataset):
         "bad,missing.nii,b.nii,a.nii,,,,A,B,\n"
     )
     mixed = evaluate_all(load_manifest(manifest), EvalConfig())
-    assert metric_values(mixed[0]) == metric_values(clean[0])
+    assert row_cells(mixed[0]) == row_cells(clean[0])
 
 
 def test_total_failure_raises_with_rows(tiny_dataset):
@@ -242,8 +241,8 @@ def test_order_independence_of_values(tiny_dataset):
     rev = evaluate_all(load_manifest(manifest), EvalConfig())
     assert [r.id for r in fwd] == ["r1", "r2"]
     assert [r.id for r in rev] == ["r2", "r1"]
-    assert metric_values(fwd[0]) == metric_values(rev[1])
-    assert metric_values(fwd[1]) == metric_values(rev[0])
+    assert row_cells(fwd[0]) == row_cells(rev[1])
+    assert row_cells(fwd[1]) == row_cells(rev[0])
 
 
 def test_workers_do_not_change_values(tiny_dataset):
@@ -257,7 +256,7 @@ def test_workers_do_not_change_values(tiny_dataset):
     threaded = evaluate_all(records, EvalConfig(workers=4))
     assert [r.id for r in serial] == [r.id for r in threaded]
     for a, b in zip(serial, threaded):
-        assert metric_values(a) == metric_values(b)
+        assert row_cells(a) == row_cells(b)
 
 
 def test_multichannel_rows_per_channel(tmp_path):
@@ -411,10 +410,10 @@ def _row(id, site_in, site_out, nwd_ip, nwd_tp, psnr=None):
     ref = None
     if psnr is not None:
         ref = PairedMetricRow(ssim=0.5, psnr_db=psnr, mae=0.1, mse=0.02)
-    return EvaluationRow(
+    return row_cells(EvaluationRow(
         id=id, site_in=site_in, site_out=site_out, channel=None, status="ok",
         wd=wd, verdict=HarmonizationVerdict(Verdict.PARTIAL, 0.05), reference=ref,
-    )
+    ))
 
 
 def test_summarize_means(tiny_dataset):
@@ -449,7 +448,7 @@ def test_summarize_counts_sentinels():
 
 
 def test_summarize_requires_a_successful_row():
-    failed = EvaluationRow(id="x", site_in="A", site_out="B", channel=None, status="error: x")
+    failed = row_cells(EvaluationRow(id="x", site_in="A", site_out="B", channel=None, status="error: x"))
     with pytest.raises(NoSuccessfulRows):
         summarize([failed])
     with pytest.raises(ValueError):
@@ -498,7 +497,7 @@ def test_json_report_round_trip():
 
 
 def test_single_metric_single_group_markdown():
-    tables = summarize_groups([("A→B", {"nwd_ip": 0.5})])
+    tables = summarize([{"site_in": "A", "site_out": "B", "status": "ok", "nwd_ip": "0.5"}])
     text = emit_report(tables, "md").decode()
     lines = text.strip().splitlines()
     assert lines[0] == "| | nWD(i,p) |"
@@ -506,7 +505,7 @@ def test_single_metric_single_group_markdown():
 
 
 def test_unsupported_format():
-    tables = summarize_groups([("g", {"mae": 0.1})])
+    tables = summarize([{"site_in": "A", "site_out": "B", "status": "ok", "mae": "0.1"}])
     with pytest.raises(UnsupportedFormat):
         emit_report(tables, "xml")
 
@@ -519,7 +518,8 @@ def test_rows_csv_round_trip_and_determinism(tiny_dataset):
     assert blob1 == blob2
     path = tiny_dataset[0] / "results.csv"
     write_rows_csv(rows, path, meta={"version": "0"})
-    raw = read_rows_csv(path)
+    meta, raw = read_results(path)
+    assert meta == {"version": "0"}
     assert len(raw) == 1
     assert raw[0]["id"] == "t0"
     assert raw[0]["status"] == "ok"
