@@ -86,7 +86,7 @@ class ZeroRankVariance(HarmbenchError):
 # ------------------------------------------------------------------ harness
 
 class MissingColumn(HarmbenchError):
-    """Manifest lacks a required column or field."""
+    """Manifest or results file lacks a required column or field."""
 
 
 class DuplicateId(HarmbenchError):

@@ -627,7 +627,9 @@ def read_results(path: str | Path) -> tuple[dict, list[dict[str, str]]]:
     ``meta`` is the ``# key: value`` lines heading the file; the settings
     of ``EvalConfig.to_meta`` get back the types they were written with,
     any other value stays text. ``rows`` are the cells of each row as
-    text, as :func:`row_cells` wrote them.
+    text, as :func:`row_cells` wrote them. A file without the columns
+    that :func:`summarize` groups and filters by raises
+    :class:`MissingColumn`.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     head = list(takewhile(lambda line: line.startswith("#"), lines))
@@ -638,7 +640,11 @@ def read_results(path: str | Path) -> tuple[dict, list[dict[str, str]]]:
         key, value = key.strip(), value.strip()
         kind = types.get(key, str)
         meta[key] = value == "True" if kind is bool else kind(value)
-    return meta, list(csv.DictReader(lines[len(head):]))
+    reader = csv.DictReader(lines[len(head):])
+    missing = [c for c in ("site_in", "site_out", "status") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
+    return meta, list(reader)
 
 
 def series_from_rows(

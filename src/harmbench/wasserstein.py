@@ -3,18 +3,33 @@
 The order-1 distance between two empirical distributions is the
 integral of the absolute difference of their quantile functions. It is
 computed from exact integer quantile breakpoints: the cumulative counts
-k/N_a and j/N_b scaled by N_a·N_b, that is k·N_b and j·N_a. Merging
-them gives segments of constant integrand, so the distance is a finite
-sum, exact up to the rounding of one dot product, symmetric by
-construction, and exactly zero when the two distributions are equal.
+k/N_a and j/N_b scaled by N_a·N_b, that is k·N_b and j·N_a. Between
+consecutive breakpoints of either side both quantile functions are
+constant, so the distance is a finite sum of segment width times
+quantile gap.
 
-The stable merge order also gives the quantile each segment reads from
-either side: the number of breakpoints of `a` ahead of a merged position
-is the index into `a`, and the rest are the index into `b`. Where a
-breakpoint of `a` ties one of `b`, these counts run one ahead of the
-strict "breakpoints below" count, but only on the second of the tied
-pair, whose segment has zero width. So every term of the dot product is
-the same as with a binary search into either side, and so is the sum.
+Every segment ends at a breakpoint of `a`, of `b`, or of both, so the
+sum is taken one side at a time, over that side's own breakpoints and
+without merging the two. For a breakpoint q of one side, the number of
+levels j·N_own of the other side strictly below it is
+s = (q − 1) // N_own, with N_own the total of the breakpoint's own side.
+With all-ones counts every level is a breakpoint and s is the rank into
+the other side; otherwise the rank is the number of the other side's
+cumulative counts that are at most s. The segment ending at q starts at
+the later of the previous own breakpoint and the other side's last
+breakpoint below q, and on it the two quantiles are the own value at q
+and the other side's value at that rank.
+
+A segment that ends where both sides have a breakpoint is found from
+both sides, with the same width and the same gap, and each side counts
+half of it. With all-ones counts these are every N_own/gcd(N_a, N_b)-th
+breakpoint. Each side's sum is then a function of the pair alone, not
+of the argument order, so W(a, b) and W(b, a) add the same two floats
+and are exactly equal. When the two distributions are equal every
+segment of positive width has a zero gap, so the distance is exactly
+zero. The result is the exact breakpoint sum up to the rounding of the
+gaps, the two dot products and the final division: a few ulps on small
+distributions, up to about 10 on 1.5·10⁶ samples.
 
 The normalized pair divides the prediction's distance to the input and
 to the target by the input-to-target distance, which anchors the scale:
@@ -24,6 +39,7 @@ above 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,15 +55,10 @@ NORMALIZER_EPS_FACTOR = 1e-9  # times the joint input/target intensity range
 def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """Order-1 Wasserstein distance between two empirical distributions.
 
-    The int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹ samples
-    each); larger totals raise ``ValueError``. The gather indices come
-    from the stable merge order of the breakpoints, which is the same as
-    searching each breakpoint in both sides except on zero-width
-    segments (see the module docstring). The last breakpoint of both
-    sides is N_a·N_b, and stability puts `a`'s first, so only `a`'s
-    index runs past the end, on the final zero-width segment. Each step
-    runs in place and each temporary is dropped once used, so at most
-    four arrays of the merged length are alive at once.
+    The sum of the segments ending at `a`'s breakpoints plus those ending
+    at `b`'s, over the common denominator N_a·N_b (see the module
+    docstring). The int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹
+    samples each); larger totals raise ``ValueError``.
     """
     n_a, n_b = _total(a.counts), _total(b.counts)
     if n_a * n_b >= 2**63:
@@ -55,30 +66,51 @@ def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
             f"wasserstein_1d needs N_a·N_b < 2**63 for its int64 breakpoints, "
             f"got N_a={n_a}, N_b={n_b}"
         )
-    qa = np.cumsum(a.counts)
-    qa *= n_b  # integer breakpoints on the common scale N_a·N_b
-    qb = np.cumsum(b.counts)
-    qb *= n_a
-    q = np.concatenate([qa, qb])
-    del qa, qb
-    order = np.argsort(q, kind="stable")  # merges two sorted runs
-    widths = q[order]
-    del q
-    widths[1:] -= widths[:-1]  # numpy buffers the overlap: diff with prepend=0
-    from_a = order < a.n
-    del order
-    ia = np.cumsum(from_a)
-    ia -= from_a  # breakpoints of `a` strictly ahead of each merged position
-    del from_a
-    ib = np.arange(ia.size)
-    ib -= ia
-    np.minimum(ia, a.n - 1, out=ia)
-    d = a.values[ia]
-    del ia
-    d -= b.values[ib]
-    del ib
+    return (_side_sum(a, b, n_a, n_b) + _side_sum(b, a, n_b, n_a)) / (n_a * n_b)
+
+
+def _side_sum(
+    own: EmpiricalDistribution, other: EmpiricalDistribution, n_own: int, n_other: int
+) -> float:
+    """Width times quantile gap summed over the segments that end at one of
+    `own`'s breakpoints, the segments shared with `other` at half weight.
+
+    A total equal to the number of support points means all-ones counts.
+    The level s is at most N_other − 1 because q ≤ N_own·N_other, so the
+    gather needs no clipping. With all-ones counts on both sides each step
+    runs in place, so at most three arrays of `own`'s length are alive at
+    once.
+    """
+    own_unit = own.n == n_own
+    if own_unit:
+        q = np.arange(1, n_own + 1, dtype=np.int64)
+    else:
+        q = np.cumsum(own.counts)
+    q *= n_other  # own breakpoints on the common scale N_own·N_other
+    s = q - 1
+    s //= n_own  # levels of `other` strictly below each breakpoint
+    if other.n == n_other:  # every level is a breakpoint: s is the rank
+        d = other.values[s]
+        if own_unit:
+            step = n_own // math.gcd(n_own, n_other)
+            shared = slice(step - 1, None, step)
+        else:
+            shared = q % n_own == 0
+    else:
+        cum = np.cumsum(other.counts)
+        rank = np.searchsorted(cum, s, "right")
+        d = other.values[rank]
+        shared = cum[rank] * n_own == q
+        s = np.concatenate(([0], cum))[rank]  # the level of the last breakpoint below
+        del cum, rank
+    s *= n_own  # the other side's last breakpoint below, 0 if none
+    np.maximum(s[1:], q[:-1], out=s[1:])  # or the previous own one, if later
+    q -= s  # widths, all positive
+    del s
+    d -= own.values
     np.abs(d, out=d)
-    return float(np.dot(widths, d)) / (n_a * n_b)
+    d[shared] *= 0.5
+    return float(np.dot(q, d))
 
 
 @dataclass(frozen=True)

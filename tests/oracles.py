@@ -7,6 +7,8 @@ bug in the library cannot hide in a shared code path.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -78,8 +80,9 @@ def wd_breakpoints_searchsorted(a, b) -> float:
     quantiles found by binary search into either side's breakpoints.
 
     ``a`` and ``b`` have sorted ``values`` and positive int64 ``counts``.
-    The library takes the same segments' indices from the merge order
-    instead; the two must agree bit for bit.
+    The library sums the same segments one side at a time instead, so
+    the two agree bit for bit wherever every partial sum is exact, as on
+    small integer values.
     """
     ca = np.cumsum(a.counts)
     cb = np.cumsum(b.counts)
@@ -90,6 +93,23 @@ def wd_breakpoints_searchsorted(a, b) -> float:
     ia = np.searchsorted(qa, q, side="left")
     ib = np.searchsorted(qb, q, side="left")
     return float(np.dot(widths, np.abs(a.values[ia] - b.values[ib]))) / (n_a * n_b)
+
+
+def wd_breakpoints_fraction(a, b) -> Fraction:
+    """The merged breakpoint sum of :func:`wd_breakpoints_searchsorted`
+    evaluated in exact rationals: Python-int widths, gaps between the
+    exact values of the float64 support points, one exact division."""
+    ca = np.cumsum(a.counts).tolist()
+    cb = np.cumsum(b.counts).tolist()
+    n_a, n_b = ca[-1], cb[-1]
+    qa, qb = [k * n_b for k in ca], [j * n_a for j in cb]
+    total, prev = Fraction(0), 0
+    for q in sorted(set(qa) | set(qb)):
+        ia, ib = bisect_left(qa, q), bisect_left(qb, q)
+        gap = Fraction(float(a.values[ia])) - Fraction(float(b.values[ib]))
+        total += (q - prev) * abs(gap)
+        prev = q
+    return total / (n_a * n_b)
 
 
 def mae_mse_direct(pred_flat, gt_flat, fg_flat) -> tuple[float, float]:

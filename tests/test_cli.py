@@ -342,7 +342,9 @@ def test_exact_cap_one_bins_every_triplet(synth_manifest, tmp_path, capsys):
 
 def test_corr_unknown_column_is_usage_error(tmp_path, capsys):
     results = tmp_path / "r.csv"
-    results.write_text("id,nwd_ip,ssim\na,0.1,\nb,0.3,\nc,0.2,\n")
+    results.write_text(
+        "id,site_in,site_out,status,nwd_ip,ssim\na,A,B,ok,0.1,\nb,A,B,ok,0.3,\nc,A,B,ok,0.2,\n"
+    )
     code = run(["corr", "--in", str(results), "--rows", "nwd_ip,nwd_ipp", "--cols", "ssim,mea"])
     captured = capsys.readouterr()
     assert code == 1
@@ -351,6 +353,18 @@ def test_corr_unknown_column_is_usage_error(tmp_path, capsys):
     # a column that exists but holds no value is still a data error
     assert run(["corr", "--in", str(results), "--rows", "nwd_ip", "--cols", "ssim"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "corr"])
+def test_results_without_group_columns_is_data_error(tmp_path, capsys, command):
+    results = tmp_path / "r.csv"
+    results.write_text("id,status,nwd_ip\na,ok,0.1\n")
+    assert run([command, "--in", str(results)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: MissingColumn: {results}: missing column(s) site_in, site_out"
+    ]
 
 
 def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Exact 1-D transport distance, the normalized pair, and verdicts."""
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from harmbench.distribution import EmpiricalDistribution, coarsen_jointly
 from harmbench.errors import DegenerateNormalizer
 from harmbench.wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
 
-from oracles import wd_breakpoints_searchsorted, wd_cdf_integral, wd_matching
+from oracles import (
+    wd_breakpoints_fraction,
+    wd_breakpoints_searchsorted,
+    wd_cdf_integral,
+    wd_matching,
+)
 
 
 def _u(samples):
@@ -142,6 +149,66 @@ def test_merge_order_indices_match_binary_search_bit_for_bit(pair):
     assert wasserstein_1d(b, a) == wd_breakpoints_searchsorted(b, a)
 
 
+@st.composite
+def _unit_pair(draw):
+    """Two unit-count distributions of float samples, N_b equal to N_a, a
+    multiple of it, or drawn freely, so the shared breakpoints range from
+    every one of `a`'s to only the last."""
+    n_a = draw(st.integers(1, 40))
+    n_b = draw(st.one_of(st.just(n_a), st.integers(2, 4).map(lambda k: k * n_a), st.integers(1, 60)))
+    samples = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    a = draw(st.lists(samples, min_size=n_a, max_size=n_a))
+    b = draw(st.lists(samples, min_size=n_b, max_size=n_b))
+    return _u(a), _u(b)
+
+
+@given(st.one_of(_tied_pair(), _unit_pair()))
+@settings(max_examples=300, deadline=None)
+def test_within_rounding_bound_of_the_exact_breakpoint_sum(pair):
+    # Every term is nonnegative, so rounding each gap, a dot product over
+    # the n support points of the longer side in any order, the sum of the
+    # two sides and the division move the result by at most (n + 3)·2**-53
+    # relative, under n + 3 ulps.
+    # One more ulp covers gaps below the normal range. Typical errors are
+    # a few ulps, but no fixed count holds for every pair: random pairs of
+    # up to 40 and 160 points reach 4.9 ulps.
+    a, b = pair
+    exact = wd_breakpoints_fraction(a, b)
+    ulp = Fraction(math.ulp(float(exact)))
+    bound = (max(a.n, b.n) + 4) * ulp
+    for got in (wasserstein_1d(a, b), wasserstein_1d(b, a)):
+        assert abs(Fraction(got) - exact) <= bound, f"{float(abs(Fraction(got) - exact) / ulp):.2f} ulps"
+
+
+@given(st.one_of(_tied_pair(), _unit_pair()))
+@settings(max_examples=300, deadline=None)
+def test_symmetry_exact_on_shared_breakpoints(pair):
+    a, b = pair
+    assert wasserstein_1d(a, b) == wasserstein_1d(b, a)
+    assert wasserstein_1d(a, a) == 0.0
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_division_ranks_equal_binary_search_ranks(a_counts, b_counts, all_ones):
+    # the rank of each of `a`'s breakpoints into `b`: the number of `b`'s
+    # breakpoints strictly below it
+    if all_ones:
+        a_counts, b_counts = [1] * len(a_counts), [1] * len(b_counts)
+    cum_a, cum_b = np.cumsum(a_counts), np.cumsum(b_counts)
+    n_a, n_b = int(cum_a[-1]), int(cum_b[-1])
+    qa, qb = cum_a * n_b, cum_b * n_a
+    want = np.searchsorted(qb, qa, "left")
+    levels = (qa - 1) // n_a
+    if all_ones:
+        assert np.array_equal(levels, want)
+    assert np.array_equal(np.searchsorted(cum_b, levels, "right"), want)
+
+
 @pytest.mark.parametrize("a_counts,b_counts", [
     ([2**32, 2**32], [2**32, 1]),  # each total fits int64, their product does not
     ([2**62, 2**62], [1, 1]),  # the total 2**63 itself is past int64
@@ -161,7 +228,8 @@ def test_breakpoints_just_inside_int64_are_exact():
     assert wasserstein_1d(a, b) == pytest.approx(0.5 / (2**31 - 1), rel=1e-12)
 
 
-def test_peak_memory_is_four_merged_length_arrays():
+def test_peak_memory_is_under_two_merged_length_arrays():
+    # each side's sum holds three arrays of its own length at most
     rng = np.random.default_rng(8)
     a = _u(rng.normal(100.0, 20.0, 200_000))
     b = _u(rng.normal(110.0, 25.0, 200_003))
@@ -172,7 +240,7 @@ def test_peak_memory_is_four_merged_length_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * merged_bytes, f"peak {peak / merged_bytes:.2f} x merged length"
+    assert peak < 2.0 * merged_bytes, f"peak {peak / merged_bytes:.2f} x merged length"
 
 
 # --------------------------------------------------------------- normalized
