@@ -28,8 +28,10 @@ of the argument order, so W(a, b) and W(b, a) add the same two floats
 and are exactly equal. When the two distributions are equal every
 segment of positive width has a zero gap, so the distance is exactly
 zero. The result is the exact breakpoint sum up to the rounding of the
-gaps, the two dot products and the final division: a few ulps on small
-distributions, up to about 10 on 1.5·10⁶ samples.
+gaps, the width·gap products, the two sums and the final division. Each
+side is summed by numpy's pairwise reduction, whose order is fixed by the
+length alone and which runs on one thread: the result does not depend on
+the thread count, and measures about 1 ulp off on 1.5·10⁶ samples.
 
 The normalized pair divides the prediction's distance to the input and
 to the target by the input-to-target distance, which anchors the scale:
@@ -79,7 +81,10 @@ def _side_sum(
     The level s is at most N_other − 1 because q ≤ N_own·N_other, so the
     gather needs no clipping. With all-ones counts on both sides each step
     runs in place, so at most three arrays of `own`'s length are alive at
-    once.
+    once. The gaps are scaled by the widths in place and summed pairwise
+    rather than by a BLAS dot product, whose threads would busy-wait on
+    other cores and whose partial sums would add up in an order that
+    depends on the thread count.
     """
     own_unit = own.n == n_own
     if own_unit:
@@ -110,7 +115,8 @@ def _side_sum(
     d -= own.values
     np.abs(d, out=d)
     d[shared] *= 0.5
-    return float(np.dot(q, d))
+    d *= q
+    return float(d.sum())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ bug in the library cannot hide in a shared code path.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -110,6 +111,52 @@ def wd_breakpoints_fraction(a, b) -> Fraction:
         total += (q - prev) * abs(gap)
         prev = q
     return total / (n_a * n_b)
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: p + e == x·y exactly, with p = fl(x·y).
+
+    Each factor is split by Veltkamp into two halves of at most 26
+    significant bits, whose four partial products are exact; no operation
+    is fused, since every numpy ufunc rounds on its own.
+    """
+    def split(v):
+        c = v * 134217729.0  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = x * y
+    xh, xl = split(x)
+    yh, yl = split(y)
+    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    return p, e
+
+
+def wd_side_sums_fsum(a, b) -> tuple[float, float]:
+    """The two per-side sums of the library's W1, each correctly rounded.
+
+    Walks the merged integer breakpoints, as
+    :func:`wd_breakpoints_searchsorted` does, with each gap rounded the
+    way the library rounds it (one float subtraction). A segment ending
+    at a breakpoint of `a` alone goes to `a`'s sum, of `b` alone to
+    `b`'s, of both half to each. Every width·gap product is made exact
+    by :func:`_two_product` and the sum of the exact terms is rounded
+    once by ``math.fsum``. W1 is then the two sums over N_a·N_b.
+    """
+    ca = np.cumsum(a.counts)
+    cb = np.cumsum(b.counts)
+    n_a, n_b = int(ca[-1]), int(cb[-1])
+    qa, qb = ca * n_b, cb * n_a
+    q = np.union1d(qa, qb)
+    ia = np.searchsorted(qa, q, side="left")
+    ib = np.searchsorted(qb, q, side="left")
+    widths = np.diff(q, prepend=0).astype(np.float64)  # exact below 2**53
+    gaps = np.abs(a.values[ia] - b.values[ib])
+    in_a = qa[np.minimum(ia, qa.size - 1)] == q
+    in_b = qb[np.minimum(ib, qb.size - 1)] == q
+    gaps[in_a & in_b] *= 0.5
+    p, e = _two_product(widths, gaps)
+    return math.fsum(np.concatenate((p[in_a], e[in_a]))), math.fsum(np.concatenate((p[in_b], e[in_b])))
 
 
 def mae_mse_direct(pred_flat, gt_flat, fg_flat) -> tuple[float, float]:

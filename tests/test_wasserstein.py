@@ -1,13 +1,18 @@
 """Exact 1-D transport distance, the normalized pair, and verdicts."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmbench
 from harmbench.distribution import EmpiricalDistribution, coarsen_jointly
 from harmbench.errors import DegenerateNormalizer
 from harmbench.wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
@@ -17,6 +22,7 @@ from oracles import (
     wd_breakpoints_searchsorted,
     wd_cdf_integral,
     wd_matching,
+    wd_side_sums_fsum,
 )
 
 
@@ -165,10 +171,10 @@ def _unit_pair(draw):
 @given(st.one_of(_tied_pair(), _unit_pair()))
 @settings(max_examples=300, deadline=None)
 def test_within_rounding_bound_of_the_exact_breakpoint_sum(pair):
-    # Every term is nonnegative, so rounding each gap, a dot product over
-    # the n support points of the longer side in any order, the sum of the
-    # two sides and the division move the result by at most (n + 3)·2**-53
-    # relative, under n + 3 ulps.
+    # Every term is nonnegative, so rounding each gap and each width·gap
+    # product, a sum over the n support points of the longer side in any
+    # order, the sum of the two sides and the division move the result by
+    # at most (n + 3)·2**-53 relative, under n + 3 ulps.
     # One more ulp covers gaps below the normal range. Typical errors are
     # a few ulps, but no fixed count holds for every pair: random pairs of
     # up to 40 and 160 points reach 4.9 ulps.
@@ -226,6 +232,57 @@ def test_breakpoints_just_inside_int64_are_exact():
     a = EmpiricalDistribution([0.0, 1.0], [2**31, 2**31])
     b = EmpiricalDistribution([0.0, 1.0], [2**30 - 1, 2**30])
     assert wasserstein_1d(a, b) == pytest.approx(0.5 / (2**31 - 1), rel=1e-12)
+
+
+_LARGE_PAIR_CODE = """
+import numpy as np
+from harmbench.distribution import EmpiricalDistribution
+rng = np.random.default_rng(14)
+a = EmpiricalDistribution.from_samples(rng.normal(100.0, 20.0, 200_000))
+b = EmpiricalDistribution.from_samples(rng.normal(110.0, 25.0, 300_000))
+"""
+
+
+def test_same_bits_at_any_blas_thread_count():
+    # a BLAS dot product over more than about 10**4 terms is split across
+    # its threads, and the partial sums then add up in a different order
+    src = str(Path(harmbench.__file__).resolve().parent.parent)
+    code = _LARGE_PAIR_CODE + "from harmbench.wasserstein import wasserstein_1d\nprint(wasserstein_1d(a, b).hex())"
+    got = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        got.append(subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.strip())
+    assert got[0] == got[1]
+
+
+def test_within_pairwise_summation_bound_on_a_large_unit_pair():
+    # numpy sums a contiguous float64 array pairwise: it halves the array
+    # (the first half a multiple of 8 long) until a block has at most 128
+    # terms, sums a block in 8 interleaved accumulators, adds the 8 in a
+    # 3-level tree and then the at most 7 leftover terms one by one. In its
+    # block a term passes through at most 24 additions (14 + 3 + 7 with 7
+    # leftover terms, 15 + 3 without), and then through one per halving:
+    # h = 24 + ceil(log2(n / 128)) + 1, the last one allowing for halves
+    # up to 7 terms longer than n/2. All terms are nonnegative, so the
+    # rounded products and the h additions keep a side's sum within
+    # (h + 1)·2**-53 relative of its exact value, to first order. Adding the
+    # two sides and the division add 2·2**-53, and the oracle's correctly
+    # rounded sides 2**-53 more. Since 2**-53·x <= ulp(x), the distance is
+    # within h + 4 ulps, and one more covers the second-order terms.
+    namespace = {}
+    exec(_LARGE_PAIR_CODE, namespace)
+    a, b = namespace["a"], namespace["b"]
+    side_a, side_b = wd_side_sums_fsum(a, b)
+    exact = (Fraction(side_a) + Fraction(side_b)) / (a.n * b.n)
+    ulp = Fraction(math.ulp(float(exact)))
+    h = 24 + math.ceil(math.log2(max(a.n, b.n) / 128)) + 1
+    for got in (wasserstein_1d(a, b), wasserstein_1d(b, a)):
+        ulps = abs(Fraction(got) - exact) / ulp
+        assert ulps <= h + 5, f"{float(ulps):.2f} ulps"
 
 
 def test_peak_memory_is_under_two_merged_length_arrays():
