@@ -16,8 +16,6 @@ from .anatomy import ApReport, StructureVolume, anatomy_preservation, as_label_v
 from .distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
-    coarsen,
-    coarsen_jointly,
     extract_foreground,
     foreground_mask,
 )
@@ -47,8 +45,7 @@ __all__ = [
     "__version__",
     "errors",
     "ApReport", "StructureVolume", "anatomy_preservation", "as_label_volume", "structure_volumes",
-    "EmpiricalDistribution", "ForegroundPolicy", "coarsen", "coarsen_jointly",
-    "extract_foreground", "foreground_mask",
+    "EmpiricalDistribution", "ForegroundPolicy", "extract_foreground", "foreground_mask",
     "EvalConfig", "EvaluationRow", "MetricSummary", "SummaryTable", "TripletRecord",
     "emit_report", "evaluate_all", "format_mean_std", "load_manifest", "parse_report_json",
     "read_results", "row_cells", "summarize",

@@ -19,12 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .anatomy import as_label_volume
+from .anatomy import anatomy_preservation, as_label_volume
 from .distribution import ForegroundPolicy
 from .errors import HarmbenchError, NoSuccessfulRows
 from .harness import (
     EvalConfig,
-    anatomy_metrics,
     emit_report,
     evaluate_all,
     intensity_metrics,
@@ -91,8 +90,6 @@ def _add_fg_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_wd_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float)
-    p.add_argument("--exact-cap", type=int,
-                   help="bin a triplet when one foreground has more support points than this")
 
 
 def label_legend(spec: str) -> dict[int, str] | None:
@@ -164,8 +161,10 @@ def _cmd_wd(ns, config: EvalConfig) -> int:
 
 
 def _cmd_ap(ns, config: EvalConfig) -> int:
-    report = anatomy_metrics(
-        load_segmentation(ns.seg_input, config), load_segmentation(ns.seg_pred, config), config
+    report = anatomy_preservation(
+        load_segmentation(ns.seg_input, config),
+        load_segmentation(ns.seg_pred, config),
+        weighted=config.weighted_ap,
     )
     if ns.json:
         _print_json({"per_structure": report.per_structure, "mean_ap": report.mean_ap})

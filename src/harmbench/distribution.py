@@ -8,15 +8,12 @@ explicit mask overrides it for anything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimsMismatch, EmptyForeground, InvalidRange
+from .errors import DimsMismatch, EmptyForeground
 from .volume import LabelVolume, VoxelGrid, _frozen_array
-
-DEFAULT_BINS = 4096
-DEFAULT_EXACT_CAP = 2 ** 24  # support points; above this the binned path kicks in
 
 
 @dataclass(frozen=True)
@@ -140,48 +137,3 @@ def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDi
     ones = np.ones(samples.size, dtype=np.int64)
     return EmpiricalDistribution(samples.astype(np.float64), ones)
 
-
-def coarsen(
-    dist: EmpiricalDistribution, bins: int, value_range: tuple[float, float]
-) -> EmpiricalDistribution:
-    """Binned approximation of ``dist``: each bin's count at its center.
-
-    Bins are half-open over ``value_range`` and the last one is closed,
-    so the upper edge belongs to it; samples outside the range are
-    clamped into the boundary bins. Empty bins are dropped and the total
-    count is conserved exactly.
-    """
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if bins < 1:
-        raise InvalidRange(f"bins must be >= 1, got {bins}")
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise InvalidRange(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    edges = np.linspace(lo, hi, bins + 1)
-    idx = np.clip(np.searchsorted(edges, dist.values, side="right") - 1, 0, bins - 1)
-    # values are sorted, so each occupied bin is one run of idx
-    occupied, first = np.unique(idx, return_index=True)
-    centers = 0.5 * (edges[occupied] + edges[occupied + 1])
-    return EmpiricalDistribution(centers, np.add.reduceat(dist.counts, first))
-
-
-def coarsen_jointly(
-    dists: Iterable[EmpiricalDistribution],
-    *,
-    bins: int = DEFAULT_BINS,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-) -> tuple[EmpiricalDistribution, ...]:
-    """Apply the sample-cap policy to a group of distributions.
-
-    The group is binned over its joint range only when one of them has
-    more than ``exact_cap`` support points; otherwise every distance is
-    exact. Degenerate joint range (all mass on one value) is returned
-    untouched, the distance code handles it.
-    """
-    dists = tuple(dists)
-    if all(d.n <= exact_cap for d in dists):
-        return dists
-    lo = min(d.support_min for d in dists)
-    hi = max(d.support_max for d in dists)
-    if not lo < hi:
-        return dists
-    return tuple(coarsen(d, bins, (lo, hi)) for d in dists)

@@ -38,10 +38,6 @@ class EmptyForeground(HarmbenchError):
     """No voxel passes the foreground policy."""
 
 
-class InvalidRange(HarmbenchError):
-    """Binning range or bin count is unusable."""
-
-
 # ---------------------------------------------------------- intensity metric
 
 class DegenerateNormalizer(HarmbenchError):

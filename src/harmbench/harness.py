@@ -24,12 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .anatomy import ApReport, anatomy_preservation, as_label_volume
-from .distribution import (
-    DEFAULT_EXACT_CAP,
-    ForegroundPolicy,
-    coarsen_jointly,
-    extract_foreground,
-)
+from .distribution import ForegroundPolicy, extract_foreground
 from .errors import (
     DuplicateId,
     HarmbenchError,
@@ -92,15 +87,9 @@ class TripletRecord:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Every knob the batch evaluation honors, validated on construction.
-
-    ``exact_cap`` is the one Wasserstein setting: a triplet whose largest
-    foreground has more support points than this is binned, any other
-    is exact.
-    """
+    """Every knob the batch evaluation honors, validated on construction."""
 
     policy: ForegroundPolicy = ForegroundPolicy()
-    exact_cap: int = DEFAULT_EXACT_CAP
     tol: float = DEFAULT_VERDICT_TOL
     ssim: SsimParams = SsimParams()
     labels: dict[int, str] | None = None
@@ -108,9 +97,8 @@ class EvalConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("exact_cap", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.tol < 0.5:
             raise ValueError(f"tol must be in (0, 0.5), got {self.tol!r}")
 
@@ -120,7 +108,6 @@ class EvalConfig:
         return {
             "foreground": "threshold" if self.policy.mask is None else "explicit-mask",
             "bg_threshold": self.policy.threshold,
-            "exact_cap": self.exact_cap,
             "tol": self.tol,
             "ssim_window": self.ssim.window,
             "ssim_k1": self.ssim.k1,
@@ -260,15 +247,8 @@ def intensity_metrics(
     grids: Iterable[VoxelGrid], config: EvalConfig
 ) -> tuple[WdPair, HarmonizationVerdict]:
     """Normalized Wasserstein pair and verdict of (input, target, prediction)."""
-    dists = tuple(extract_foreground(g, config.policy) for g in grids)
-    d_i, d_t, d_p = coarsen_jointly(dists, exact_cap=config.exact_cap)
-    pair = nwd(d_i, d_t, d_p)
+    pair = nwd(*(extract_foreground(g, config.policy) for g in grids))
     return pair, classify(pair, config.tol)
-
-
-def anatomy_metrics(seg_input: LabelVolume, seg_pred: LabelVolume, config: EvalConfig) -> ApReport:
-    """Anatomy preservation between the input's and the prediction's segmentation."""
-    return anatomy_preservation(seg_input, seg_pred, weighted=config.weighted_ap)
 
 
 class _SharedFiles:
@@ -366,10 +346,10 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
         if rec.seg_input_path or rec.seg_pred_path:
             if not (rec.seg_input_path and rec.seg_pred_path):
                 raise ValueError("seg_input_path and seg_pred_path must both be set")
-            ap = anatomy_metrics(
+            ap = anatomy_preservation(
                 files.segmentation(rec.seg_input_path),
                 files.segmentation(rec.seg_pred_path),
-                config,
+                weighted=config.weighted_ap,
             )
 
         reference = None

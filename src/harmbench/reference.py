@@ -42,8 +42,8 @@ class SsimParams:
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError(f"k1 and k2 must be positive and finite, got {self.k1!r}, {self.k2!r}")
 
     @property
     def c1(self) -> float:

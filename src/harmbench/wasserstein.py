@@ -78,8 +78,10 @@ def _side_sum(
     `own`'s breakpoints, the segments shared with `other` at half weight.
 
     A total equal to the number of support points means all-ones counts.
-    The level s is at most N_other − 1 because q ≤ N_own·N_other, so the
-    gather needs no clipping. With all-ones counts on both sides each step
+    ``extract_foreground`` always gives all-ones counts, so only a counted
+    distribution handed to the public API reaches the general-count
+    branch (the ``searchsorted`` one). The level s is at most N_other − 1
+    because q ≤ N_own·N_other, so the gather needs no clipping. With all-ones counts on both sides each step
     runs in place, so at most three arrays of `own`'s length are alive at
     once. The gaps are scaled by the widths in place and summed pairwise
     rather than by a BLAS dot product, whose threads would busy-wait on

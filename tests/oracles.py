@@ -226,22 +226,6 @@ def spearman_direct(x, y) -> float:
     return pearson_direct(average_ranks_positional(x), average_ranks_positional(y))
 
 
-def histogram_direct(values, weights, bins: int, lo: float, hi: float) -> list[float]:
-    """Per-sample loop; half-open bins, final bin closed, outliers clamped."""
-    width = (hi - lo) / bins
-    counts = [0.0] * bins
-    for v, w in zip(values, weights):
-        if v < lo:
-            k = 0
-        elif v >= hi:
-            k = bins - 1
-        else:
-            k = int((v - lo) // width)
-            k = min(max(k, 0), bins - 1)
-        counts[k] += w
-    return counts
-
-
 def label_counts_direct(labels_flat) -> dict[int, int]:
     counts: dict[int, int] = {}
     for v in labels_flat:

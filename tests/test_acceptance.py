@@ -15,7 +15,6 @@ from harmbench.cli import run
 from harmbench.distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
-    coarsen_jointly,
     extract_foreground,
 )
 from harmbench.errors import (
@@ -122,28 +121,6 @@ def test_scale_invariance():
         )
     assert worst <= 1e-9
     print(f"PASS scale-invariance: max drift {worst:.2e} over 100 triples")
-
-
-def test_binned_distance_tracks_exact():
-    """4096-bin distance within 1% relative of exact on 50 Gaussian-mixture
-    pairs of 1e5 samples."""
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(50):
-        def mixture(shift):
-            means = rng.uniform(0, 10, 3) + shift
-            stds = rng.uniform(0.3, 1.5, 3)
-            parts = [rng.normal(m, s, 33334) for m, s in zip(means, stds)]
-            return _u(np.concatenate(parts)[:100_000])
-
-        a = mixture(0.0)
-        b = mixture(float(rng.uniform(1.0, 3.0)))
-        exact = wasserstein_1d(a, b)
-        ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1)
-        rel = abs(wasserstein_1d(ba, bb) - exact) / exact
-        worst = max(worst, rel)
-    assert worst <= 0.01
-    print(f"PASS binned-vs-exact: worst relative error {worst:.4%} on 50 mixtures")
 
 
 def test_volume_preservation_arithmetic():

@@ -201,13 +201,13 @@ def test_synth_json_output(tmp_path, capsys):
     st.lists(
         st.sampled_from(
             ["wd", "evaluate", "corr", "report", "--json", "--input", "x.nii",
-             "--manifest", "m.csv", "--in", "r.csv", "--exact-cap", "-3", "nonsense", ""]
+             "--manifest", "m.csv", "--in", "r.csv", "--tol", "-3", "nonsense", ""]
         ),
         max_size=4,
     )
 )
 @example(["report", "--in"])
-@example(["wd", "--exact-cap", "not-a-number"])
+@example(["wd", "--tol", "not-a-number"])
 @settings(max_examples=120, deadline=None)
 def test_exit_codes_are_always_in_contract(argv):
     assert run(argv) in (0, 1, 2)
@@ -223,14 +223,16 @@ def synth_manifest(tmp_path):
 @pytest.mark.parametrize("setting", [
     ["--tol", "0.7"],
     ["--tol", "0"],
-    ["--exact-cap", "0"],
     ["--workers", "0"],
     ["--labels", "1=GM,x"],
     ["--window", "4"],
+    ["--k1", "nan"],
+    ["--k2", "inf"],
     ["--bg-threshold", "nan"],
-    ["--bins", "64"],  # removed: --exact-cap is the one distance setting
+    ["--bins", "64"],  # removed: W1 is always exact
+    ["--exact-cap", "1"],  # removed: W1 is always exact
     ["--exact"],
-    ["--exact", "5"],  # not an abbreviation of --exact-cap
+    ["--exact", "5"],
     ["--work", "2"],  # not an abbreviation of --workers
 ])
 def test_bad_setting_is_usage_error_before_any_record(tmp_path, capsys, setting):
@@ -315,31 +317,6 @@ def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
     assert {k: plain_row[k] for k in keys} != {k: wd[k] for k in keys}
 
 
-def test_exact_cap_one_bins_every_triplet(synth_manifest, tmp_path, capsys):
-    from harmbench.distribution import ForegroundPolicy, coarsen_jointly, extract_foreground
-    from harmbench.harness import load_manifest, read_results
-    from harmbench.nifti import load_volume
-    from harmbench.wasserstein import nwd
-
-    results = tmp_path / "results.csv"
-    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results),
-                "--exact-cap", "1"]) == 0
-    capsys.readouterr()
-    assert "# exact_cap: 1\n" in results.read_text()
-    rows = {r["id"]: r for r in read_results(results)[1]}
-    for rec in load_manifest(synth_manifest):
-        dists = [
-            extract_foreground(load_volume(p), ForegroundPolicy())
-            for p in (rec.input_path, rec.target_path, rec.pred_path)
-        ]
-        binned = nwd(*coarsen_jointly(dists, exact_cap=1))
-        row = rows[rec.id]
-        assert row["status"] == "ok"
-        for key in ("wd_it", "wd_ip", "wd_tp", "nwd_ip", "nwd_tp"):
-            assert row[key] == repr(getattr(binned, key))
-        assert row["wd_ip"] != repr(nwd(*dists).wd_ip)  # the binned path really ran
-
-
 def test_corr_unknown_column_is_usage_error(tmp_path, capsys):
     results = tmp_path / "r.csv"
     results.write_text(
@@ -377,7 +354,7 @@ def test_report_reproduces_evaluate_csv_table(synth_manifest, tmp_path, capsys):
 
     # the whole output, metadata lines included
     assert from_report == from_evaluate
-    assert f"# exact_cap: {2 ** 24}\n" in from_report
+    assert "# ssim_window: 7\n" in from_report
     assert len([line for line in from_report.splitlines() if not line.startswith("#")]) > 1
 
 
@@ -392,8 +369,26 @@ def test_report_reproduces_evaluate_json(synth_manifest, tmp_path, capsys):
     # the whole output, metadata typed as evaluate writes it
     assert from_report == from_evaluate
     meta = json.loads(from_report)["meta"]
-    assert meta["exact_cap"] == 2 ** 24 and meta["weighted_ap"] is False
+    assert meta["ssim_window"] == 7 and meta["weighted_ap"] is False
     assert isinstance(meta["tol"], float)
+
+
+def test_results_with_the_removed_exact_cap_line_still_read(synth_manifest, tmp_path, capsys):
+    # files written while W1 could be binned carry this line; it is read as text
+    results = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results)]) == 0
+    old = tmp_path / "old.csv"
+    old.write_text(results.read_text().replace(
+        "# tol:", f"# exact_cap: {2 ** 24}\n# tol:", 1))
+    capsys.readouterr()
+    for command in (["report", "--json"], ["corr", "--json"]):
+        assert run([*command, "--in", str(results)]) == 0
+        now = json.loads(capsys.readouterr().out)
+        assert run([*command, "--in", str(old)]) == 0
+        then = json.loads(capsys.readouterr().out)
+        if command[0] == "report":
+            assert then["meta"].pop("exact_cap") == str(2 ** 24)
+        assert then == now
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,4 +1,4 @@
-"""Foreground extraction and binning."""
+"""Foreground extraction and empirical distributions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from harmbench.distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
-    coarsen,
-    coarsen_jointly,
     extract_foreground,
     foreground_mask,
 )
-from harmbench.errors import DimsMismatch, EmptyForeground, InvalidRange
+from harmbench.errors import DimsMismatch, EmptyForeground
 from harmbench.volume import LabelVolume, VoxelGrid
-
-from oracles import histogram_direct
 
 
 def _grid(values, dims=None):
@@ -106,40 +102,6 @@ def test_weights_exact_where_the_int64_total_wraps():
     np.testing.assert_array_equal(d.weights, [0.5, 0.5])
 
 
-# ---------------------------------------------------------------- binning
-
-
-def test_histogram_two_bins():
-    dist = EmpiricalDistribution([0.0, 1.0], [1, 1])
-    out = coarsen(dist, 2, (0.0, 2.0))
-    np.testing.assert_array_equal(out.counts, [1, 1])
-    np.testing.assert_array_equal(out.values, [0.5, 1.5])
-
-
-def test_histogram_single_sample_single_nonzero_bin():
-    dist = EmpiricalDistribution([3.3], [1])
-    for bins in (1, 5, 64):
-        out = coarsen(dist, bins, (0.0, 10.0))
-        assert out.n == 1
-        np.testing.assert_array_equal(out.counts, [1])
-
-
-def test_histogram_upper_edge_belongs_to_last_bin():
-    dist = EmpiricalDistribution([0.0, 2.0], [1, 1])
-    out = coarsen(dist, 4, (0.0, 2.0))
-    np.testing.assert_array_equal(out.values, [0.25, 1.75])
-    np.testing.assert_array_equal(out.counts, [1, 1])
-
-
-def test_histogram_clamps_outliers_to_boundary_bins():
-    dist = EmpiricalDistribution([-10.0, 0.5, 99.0], [1, 1, 1])
-    out = coarsen(dist, 2, (0.0, 1.0))
-    # -10 clamps into bin [0, 0.5); 0.5 opens bin [0.5, 1.0); 99 clamps into it
-    np.testing.assert_array_equal(out.values, [0.25, 0.75])
-    np.testing.assert_array_equal(out.counts, [1, 2])
-
-
-
 @given(
     st.sampled_from([np.float32, np.int16]),
     st.integers(1, 400),
@@ -171,76 +133,3 @@ def test_foreground_is_the_sorted_float64_widening_byte_for_byte(dtype, n, thres
     assert dist.values.dtype == np.float64
     assert dist.values.tobytes() == want.tobytes()
     assert dist.counts.tolist() == [1] * want.size
-
-def test_histogram_uniform_counts_near_uniform():
-    rng = np.random.default_rng(123)
-    dist = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 1000))
-    out = coarsen(dist, 10, (0.0, 1.0))
-    assert out.n == 10
-    assert np.all(np.abs(out.counts - 100) < 50)
-
-
-def test_histogram_matches_direct_counting_oracle():
-    rng = np.random.default_rng(77)
-    samples = rng.normal(5, 2, 400)
-    dist = EmpiricalDistribution.from_samples(samples)
-    out = coarsen(dist, 16, (0.0, 10.0))
-    want = np.array(histogram_direct(dist.values, dist.counts, 16, 0.0, 10.0))
-    centers = np.linspace(0.0, 10.0, 17)[:-1] + 10.0 / 32
-    np.testing.assert_array_equal(out.counts, want[want > 0])
-    np.testing.assert_allclose(out.values, centers[want > 0], atol=1e-12)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=200), st.integers(1, 64))
-@settings(max_examples=150)
-def test_histogram_conserves_weight(samples, bins):
-    dist = EmpiricalDistribution.from_samples(samples)
-    out = coarsen(dist, bins, (-60.0, 60.0))
-    assert out.counts.dtype == np.int64
-    assert int(out.counts.sum()) == dist.n == len(samples)
-
-
-def test_invalid_ranges():
-    dist = EmpiricalDistribution([1.0], [1])
-    with pytest.raises(InvalidRange):
-        coarsen(dist, 0, (0.0, 1.0))
-    with pytest.raises(InvalidRange):
-        coarsen(dist, 4, (1.0, 1.0))
-    with pytest.raises(InvalidRange):
-        coarsen(dist, 4, (2.0, 1.0))
-
-
-# ------------------------------------------------------------ cap policy
-
-
-def test_coarsen_concentrates_mass_at_centers():
-    dist = EmpiricalDistribution.from_samples([0.1, 0.1, 0.9])
-    out = coarsen(dist, 2, (0.0, 1.0))
-    np.testing.assert_array_equal(out.values, [0.25, 0.75])
-    np.testing.assert_array_equal(out.counts, [2, 1])
-
-
-def test_coarsen_jointly_auto_respects_cap():
-    small = EmpiricalDistribution.from_samples(np.linspace(0, 1, 50))
-    big = EmpiricalDistribution.from_samples(np.linspace(0, 1, 2000))
-    out = coarsen_jointly((small, big), bins=8, exact_cap=100)
-    assert out[0].n <= 8 and out[1].n <= 8
-    untouched = coarsen_jointly((small, big), bins=8, exact_cap=10_000)
-    assert untouched == (small, big)
-    forced = coarsen_jointly((small,), bins=8, exact_cap=1)
-    assert forced[0].n <= 8
-
-
-def test_coarsen_jointly_exact_mode_never_bins():
-    # exactly exact_cap support points stays exact; one more bins the group
-    small = EmpiricalDistribution.from_samples(np.linspace(0, 1, 50))
-    at_cap = EmpiricalDistribution.from_samples(np.linspace(0, 1, 2000))
-    out = coarsen_jointly((small, at_cap), bins=8, exact_cap=2000)
-    assert len(out) == 2 and out[0] is small and out[1] is at_cap
-    over = coarsen_jointly((small, at_cap), bins=8, exact_cap=1999)
-    assert over[0].n <= 8 and over[1].n <= 8
-
-
-def test_coarsen_jointly_degenerate_range_passthrough():
-    point = EmpiricalDistribution.from_samples([2.0, 2.0, 2.0])
-    assert coarsen_jointly((point, point), bins=8, exact_cap=1) == (point, point)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmbench
-from harmbench.distribution import EmpiricalDistribution, coarsen_jointly
+from harmbench.distribution import EmpiricalDistribution
 from harmbench.errors import DegenerateNormalizer
 from harmbench.wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
 
@@ -389,12 +389,3 @@ def test_verdict_tolerance_validation():
 def test_verdict_band_edges(nwd_ip, nwd_tp, kind):
     pair = WdPair(nwd_ip, nwd_tp, 1.0, nwd_ip, nwd_tp)
     assert classify(pair, 0.05).kind is kind
-
-
-def test_binned_agreement_on_gaussian_mixture():
-    rng = np.random.default_rng(31)
-    a = _u(np.concatenate([rng.normal(2, 0.5, 5000), rng.normal(6, 1.0, 5000)]))
-    b = _u(np.concatenate([rng.normal(3, 0.7, 5000), rng.normal(8, 0.8, 5000)]))
-    exact = wasserstein_1d(a, b)
-    ba, bb = coarsen_jointly((a, b), bins=4096, exact_cap=1)
-    assert wasserstein_1d(ba, bb) == pytest.approx(exact, rel=0.01)
