@@ -46,9 +46,11 @@ def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> La
     values = grid.values
     if values.dtype.kind == "f":
         # Range first: casting a value outside int64 has no defined result.
-        if values.min() < 0 or values.max() >= 2.0 ** 63:
+        top = values.max()
+        if values.min() < 0 or top >= 2.0 ** 63:
             raise ValueError(_NOT_LABELS)
-        labels = values.astype(np.int64)
+        # the narrowest integer type holding the largest label
+        labels = values.astype(np.min_scalar_type(int(top)))
         if not np.array_equal(labels, values):
             raise ValueError(_NOT_LABELS)
     elif values.min() < 0:

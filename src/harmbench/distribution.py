@@ -55,14 +55,20 @@ class EmpiricalDistribution:
         counts = counts.astype(np.int64, copy=False)
         if np.any(counts <= 0):
             raise ValueError("counts must be positive")
+        if counts.strides == (0,):
+            # one count repeated, as unit counts are given: kept as the
+            # read-only view, which takes no memory per sample
+            counts.flags.writeable = False
+        else:
+            counts = _frozen_array(counts)
         object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "counts", _frozen_array(counts))
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "EmpiricalDistribution":
         """Unit-count distribution of the given sample multiset."""
         values = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
-        return cls(values, np.ones(values.size, dtype=np.int64))
+        return cls(values, _unit_counts(values.size))
 
     @property
     def n(self) -> int:
@@ -88,6 +94,11 @@ class EmpiricalDistribution:
         return np.array_equal(self.values, other.values) and np.array_equal(
             self.counts, other.counts
         )
+
+
+def _unit_counts(n: int) -> np.ndarray:
+    """``n`` counts of one, as a read-only zero-stride view."""
+    return np.broadcast_to(np.int64(1), n)
 
 
 def _total(counts: np.ndarray) -> int:
@@ -134,6 +145,5 @@ def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDi
     # monotone, so the array is the one widening first would give, with
     # no float64 copy but the result.
     samples.sort()
-    ones = np.ones(samples.size, dtype=np.int64)
-    return EmpiricalDistribution(samples.astype(np.float64), ones)
+    return EmpiricalDistribution(samples.astype(np.float64), _unit_counts(samples.size))
 

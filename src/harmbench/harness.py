@@ -252,28 +252,28 @@ def intensity_metrics(
 
 
 class _SharedFiles:
-    """One run's reads of the files its manifest names more than once.
+    """One run's decodes of the files its manifest names.
 
     What a record takes from a file is a product: the loaded grid for an
-    intensity column, the label volume for a ``seg_*`` column. A product
-    named more than once is made once, by the first record that asks,
-    while the others wait for it, and is dropped after the last record
-    naming it finishes. A failure is kept and raised to every one of
-    them, so they all get the same status. A product named once is made
-    by its record as if there were no memo.
+    intensity column, the label volume for a ``seg_*`` column. Each is a
+    future on the run's decode pool, submitted by the first record that
+    asks, so a record's files decode while it computes and a file named
+    by many rows is read once, from its spelling in the first row naming
+    it. Each use in the manifest is counted off once, when its record
+    takes the product or ends; after the last, the product is dropped and
+    its decode cancelled if not started. A failure is kept and raised to
+    every use, so they all get the same status.
     """
 
-    def __init__(self, records: Sequence[TripletRecord], config: EvalConfig):
+    def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
         self._config = config
-        uses = Counter()
-        # Each product is made from the spelling of its path in the first
-        # row naming it, so error messages do not depend on thread timing.
+        self._pool = pool
         self._path: dict[tuple[str, str], Path] = {}
+        self._left = Counter()  # uses of each product not yet counted off
         for rec in records:
             for key, path in self._named(rec):
-                uses[key] += 1
+                self._left[key] += 1
                 self._path.setdefault(key, path)
-        self._left = {key: n for key, n in uses.items() if n > 1}
         self._made: dict[tuple[str, str], Future] = {}
         self._lock = threading.Lock()
 
@@ -288,73 +288,100 @@ class _SharedFiles:
                 if path is not None:
                     yield (kind, os.path.realpath(path)), path
 
-    def grid(self, path: Path) -> VoxelGrid:
-        return self._get("grid", path, load_volume)
+    def uses(self, rec: TripletRecord) -> Counter:
+        """The uses ``rec`` has to count off, by product."""
+        return Counter(key for key, _ in self._named(rec))
 
-    def segmentation(self, path: Path) -> LabelVolume:
-        return self._get("seg", path, lambda p: load_segmentation(p, self._config))
+    def ask(self, kind: str, path: Path) -> Future:
+        """The product's future, its decode submitted on the first ask."""
+        return self._future((kind, os.path.realpath(path)))
 
-    def _get(self, kind: str, path: Path, make):
-        key = (kind, os.path.realpath(path))
+    def _future(self, key: tuple[str, str]) -> Future:
         with self._lock:
-            if key not in self._left:
-                future = None
-            else:
-                owner = key not in self._made
-                future = self._made.setdefault(key, Future())
-        if future is None:
-            return make(path)
-        if owner:
-            try:
-                future.set_result(make(self._path[key]))
-            except _RECORD_ERRORS as exc:
-                # Kept without its frames, which hold the file's bytes.
-                future.set_exception(exc.with_traceback(None))
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
+            if key not in self._made:
+                self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
+            return self._made[key]
+
+    def _make(self, kind: str, path: Path):
         try:
-            return future.result()
+            if kind == "seg":
+                return load_segmentation(path, self._config)
+            return load_volume(path)
+        except _RECORD_ERRORS as exc:
+            # Kept without its frames or its causes', which hold the file's bytes.
+            cause = exc
+            while cause is not None and cause.__traceback__ is not None:
+                cause = cause.with_traceback(None).__cause__ or cause.__context__
+            raise exc
+
+    def take(self, kind: str, path: Path, owed: Counter):
+        """The product, once decoded, counting off one of the uses in ``owed``."""
+        key = (kind, os.path.realpath(path))
+        try:
+            return self._future(key).result()
         except _RECORD_ERRORS as exc:
             # A copy each time: raising one instance again and again would
             # chain every record's frames onto its traceback.
             raise copy.copy(exc) from None
+        finally:
+            owed[key] -= 1
+            self.count_off({key: 1})
 
-    def release(self, rec: TripletRecord) -> None:
-        """Count off ``rec``'s uses, dropping each product after its last."""
+    def count_off(self, uses: dict[tuple[str, str], int]) -> None:
+        """Count off ``uses``, dropping each product after its last use."""
         with self._lock:
-            for key, _ in self._named(rec):
-                if key in self._left:
-                    self._left[key] -= 1
-                    if not self._left[key]:
-                        del self._left[key]
-                        self._made.pop(key, None)
+            for key, n in uses.items():
+                self._left[key] -= n
+                if not self._left[key]:
+                    del self._left[key]
+                    future = self._made.pop(key, None)
+                    if future is not None:
+                        future.cancel()  # a no-op once the decode started
 
 
 def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles) -> EvaluationRow:
     key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
+    owed = files.uses(rec)
     try:
-        grids = tuple(
-            _single_channel(files.grid(path), path, rec.channel)
-            for path in (rec.input_path, rec.target_path, rec.pred_path)
-        )
-        pair, verdict = intensity_metrics(grids, config)
-        grid_p = grids[2]
-        del grids  # input and target are not needed past this point
+        paths = (rec.input_path, rec.target_path, rec.pred_path)
+        for path in paths:
+            files.ask("grid", path)
+        # Each grid is dropped once its foreground is out, but for the
+        # prediction when gt needs it. A file that fails outranks a
+        # foreground that fails, in any column.
+        dists, failed = [], None
+        for path in paths:
+            grid = _single_channel(files.take("grid", path, owed), path, rec.channel)
+            try:
+                dists.append(extract_foreground(grid, config.policy))
+            except _RECORD_ERRORS as exc:
+                failed = failed or exc
+        if failed is not None:
+            raise failed
+        grid_p = grid if rec.gt_path else None
+        del grid
+
+        # decoded while W1 runs
+        segs = (rec.seg_input_path, rec.seg_pred_path)
+        for path in segs if all(segs) else ():
+            files.ask("seg", path)
+        if rec.gt_path:
+            files.ask("grid", rec.gt_path)
+        pair = nwd(*dists)
+        verdict = classify(pair, config.tol)
+        del dists
 
         ap = None
-        if rec.seg_input_path or rec.seg_pred_path:
-            if not (rec.seg_input_path and rec.seg_pred_path):
+        if any(segs):
+            if not all(segs):
                 raise ValueError("seg_input_path and seg_pred_path must both be set")
             ap = anatomy_preservation(
-                files.segmentation(rec.seg_input_path),
-                files.segmentation(rec.seg_pred_path),
-                weighted=config.weighted_ap,
+                *(files.take("seg", path, owed) for path in segs), weighted=config.weighted_ap
             )
 
         reference = None
         if rec.gt_path:
-            grid_gt = _single_channel(files.grid(rec.gt_path), rec.gt_path, rec.channel)
+            grid_gt = _single_channel(files.take("grid", rec.gt_path, owed), rec.gt_path, rec.channel)
             reference = paired_metrics(grid_p, grid_gt, config.policy, config.ssim)
 
         return EvaluationRow(
@@ -362,26 +389,25 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
         )
     except _RECORD_ERRORS as exc:
         return EvaluationRow(**key, status=f"error: {type(exc).__name__}: {exc}")
+    finally:
+        files.count_off(+owed)  # the uses the record did not take
 
 
 def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConfig()) -> list[EvaluationRow]:
     """Evaluate every record on ``config.workers`` threads; row order
     follows the manifest. A file named by several rows is read once.
 
+    The files of each record decode on a second pool of
+    ``config.workers`` threads while the record computes; no record's
+    files are read before the record starts.
+
     Per-record failures land in the row status. Raises
     :class:`NoSuccessfulRows` (carrying the failed rows) only when every
     single record failed.
     """
-    files = _SharedFiles(records, config)
-
-    def run(rec: TripletRecord) -> EvaluationRow:
-        try:
-            return _evaluate_record(rec, config, files)
-        finally:
-            files.release(rec)
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        rows = list(pool.map(run, records))
+    with ThreadPoolExecutor(config.workers) as decode, ThreadPoolExecutor(config.workers) as pool:
+        files = _SharedFiles(records, config, decode)
+        rows = list(pool.map(lambda rec: _evaluate_record(rec, config, files), records))
     if records and not any(r.ok for r in rows):
         raise NoSuccessfulRows(
             f"all {len(rows)} records failed; first: {rows[0].status}", rows=rows

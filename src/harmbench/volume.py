@@ -5,7 +5,8 @@ physical voxel spacing; a :class:`LabelVolume` is its integer-labeled
 segmentation counterpart. Values live in flat arrays in x-fastest order
 (index ``i + nx*(j + ny*(k + nz*c))``). A grid keeps the integer or float
 dtype it was given, so a loaded file costs its own width per voxel, and
-each metric widens to float64 only the voxels it reads; labels are int64.
+each metric widens to float64 only the voxels it reads. Labels keep
+their integer dtype too, except that uint64 becomes int64.
 """
 from __future__ import annotations
 
@@ -132,7 +133,8 @@ class LabelVolume:
         labels = np.asarray(self.labels).reshape(-1)
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
+        if labels.dtype == np.uint64:
+            labels = labels.astype(np.int64)  # bincount refuses uint64
         if labels.size != nx * ny * nz:
             raise ValueError(f"labels length {labels.size} != nx*ny*nz = {nx * ny * nz}")
         counts = _count_labels(labels)

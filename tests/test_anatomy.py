@@ -226,3 +226,39 @@ def test_as_label_volume_rejects_non_labels_without_cast_warnings(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="segmentation voxels must be nonnegative integers"):
             as_label_volume(grid)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int16])
+def test_narrow_segmentations_equal_their_int64_forms(dtype):
+    rng = np.random.default_rng(7)
+    dims = (6, 5, 4)
+    labels_i = rng.integers(0, 4, 6 * 5 * 4)
+    labels_p = np.where(rng.random(labels_i.size) < 0.2, 2, labels_i)
+
+    def segs(as_dtype):
+        return [
+            as_label_volume(VoxelGrid(dims, (1, 1, 1), labels.astype(as_dtype)))
+            for labels in (labels_i, labels_p)
+        ]
+
+    wide, narrow = segs(np.int64), segs(dtype)
+    for w, n in zip(wide, narrow):
+        assert w.labels.dtype == np.int64
+        assert n.labels.itemsize < 8
+        assert n.voxel_counts == w.voxel_counts
+        assert n == w
+    assert anatomy_preservation(*narrow) == anatomy_preservation(*wide)
+
+
+@pytest.mark.parametrize("top, dtype", [(3, np.uint8), (300, np.uint16), (70000, np.uint32)])
+def test_float_segmentation_takes_the_narrowest_dtype_of_its_largest_label(top, dtype):
+    seg = as_label_volume(VoxelGrid((3, 1, 1), (1, 1, 1), np.array([0, 1, top], np.float32)))
+    assert seg.labels.dtype == dtype
+    assert seg.voxel_counts == {1: 1, top: 1}
+
+
+def test_uint64_labels_are_counted_as_int64():
+    labels = np.array([0, 3, 3, 2 ** 40, 0], dtype=np.uint64)
+    seg = LabelVolume((5, 1, 1), (1, 1, 1), labels)
+    assert seg.labels.dtype == np.int64
+    assert seg.voxel_counts == {3: 2, 2 ** 40: 1}

@@ -12,6 +12,7 @@ from harmbench.distribution import (
 )
 from harmbench.errors import DimsMismatch, EmptyForeground
 from harmbench.volume import LabelVolume, VoxelGrid
+from harmbench.wasserstein import wasserstein_1d
 
 
 def _grid(values, dims=None):
@@ -133,3 +134,32 @@ def test_foreground_is_the_sorted_float64_widening_byte_for_byte(dtype, n, thres
     assert dist.values.dtype == np.float64
     assert dist.values.tobytes() == want.tobytes()
     assert dist.counts.tolist() == [1] * want.size
+
+
+def test_unit_counts_are_one_zero_stride_view():
+    rng = np.random.default_rng(5)
+    dist = extract_foreground(_grid(rng.uniform(-1.0, 3.0, 500)), ForegroundPolicy())
+    other = EmpiricalDistribution.from_samples(rng.normal(size=300))
+    for d in (dist, other):
+        assert d.counts.strides == (0,)
+        assert not d.counts.flags.writeable
+    ones = EmpiricalDistribution(dist.values, np.ones(dist.n, dtype=np.int64))
+    other_ones = EmpiricalDistribution(other.values, np.ones(other.n, dtype=np.int64))
+    assert ones.counts.strides == (8,)
+    assert dist == ones
+    np.testing.assert_array_equal(dist.weights, ones.weights)
+    for a, b, a1, b1 in ((dist, other, ones, other_ones), (other, dist, other_ones, ones)):
+        assert wasserstein_1d(a, b).hex() == wasserstein_1d(a1, b1).hex()
+
+
+def test_repeated_count_view_takes_the_counted_path_unchanged():
+    rng = np.random.default_rng(6)
+    values = np.sort(rng.uniform(0.0, 1.0, 40))
+    twos = np.lib.stride_tricks.as_strided(np.array([2], dtype=np.int64), (40,), (0,))
+    view = EmpiricalDistribution(values, twos)
+    full = EmpiricalDistribution(values, np.full(40, 2, dtype=np.int64))
+    assert view.counts.strides == (0,) and not view.counts.flags.writeable
+    assert view == full
+    np.testing.assert_array_equal(view.weights, full.weights)
+    other = EmpiricalDistribution.from_samples(rng.uniform(0.5, 1.5, 70))
+    assert wasserstein_1d(view, other).hex() == wasserstein_1d(full, other).hex()

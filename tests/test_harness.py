@@ -3,13 +3,19 @@ import json
 import math
 import shutil
 import sys
+import threading
+import time
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from harmbench.errors import (
+    DegenerateNormalizer,
     DuplicateId,
+    MalformedHeader,
     MissingColumn,
     NoSuccessfulRows,
     UnreadableFile,
@@ -400,6 +406,130 @@ def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch)
     assert all(r.ok for r in rows)
     assert len({r.wd.wd_it for r in rows}) == channels
     assert loads == {"in.nii": 1, "tg.nii": 1}
+
+
+
+def _own_files_manifest(base, gt):
+    """One row whose every column names its own copy of a tiny_dataset file."""
+    for name, source in (("in", "a"), ("tg", "b"), ("pr", "a"), ("gt", "a")):
+        shutil.copy(base / f"{source}.nii", base / f"{name}.nii")
+    for name in ("seg_in", "seg_pr"):
+        shutil.copy(base / "seg.nii", base / f"{name}.nii")
+    manifest = base / "own.csv"
+    manifest.write_text(
+        MANIFEST_HEADER + "\n"
+        f"r0,in.nii,tg.nii,pr.nii,{'gt.nii' if gt else ''},seg_in.nii,seg_pr.nii,A,B,\n"
+    )
+    return manifest
+
+
+@pytest.mark.parametrize("gt", [False, True])
+def test_grids_are_dropped_before_w1(tiny_dataset, monkeypatch, gt):
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_manifest(base, gt))
+    grids, alive = {}, []
+    load, w1 = harness.load_volume, harness.nwd
+
+    def tracked_load(path):
+        grid = load(path)
+        grids[path.name] = weakref.ref(grid)
+        return grid
+
+    def checked_nwd(*dists):
+        alive.append({name for name, ref in grids.items() if ref() is not None})
+        return w1(*dists)
+
+    monkeypatch.setattr(harness, "load_volume", tracked_load)
+    monkeypatch.setattr(harness, "nwd", checked_nwd)
+    (row,) = evaluate_all(records, EvalConfig())
+    assert row.ok and (row.reference is not None) == gt
+    (at_w1,) = alive
+    assert not at_w1 & {"in.nii", "tg.nii"}
+    assert ("pr.nii" in at_w1) == gt  # the prediction is kept only for the gt metrics
+
+
+def _failure_chain_frames(exc):
+    names = set()
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            names.add(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        exc = exc.__cause__ or exc.__context__
+    return names
+
+
+def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_dataset):
+    base, _ = tiny_dataset
+    write_volume(load_volume(base / "a.nii"), base / "a.nii.gz")
+    (base / "bad.nii.gz").write_bytes(corrupt_deflate((base / "a.nii.gz").read_bytes()))
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
+        "r1,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
+    )
+    records = load_manifest(base / "m.csv")
+    with ThreadPoolExecutor(1) as pool:
+        files = harness._SharedFiles(records, EvalConfig(), pool)
+        kept = files.ask("grid", base / "bad.nii.gz").exception()
+        owed = files.uses(records[0])
+        with pytest.raises(MalformedHeader) as raised:
+            files.take("grid", base / "bad.nii.gz", owed)
+    assert isinstance(kept, MalformedHeader)
+    assert raised.value is not kept and str(raised.value) == str(kept)
+    frames = _failure_chain_frames(kept)
+    assert frames and not frames & {"_read_bytes", "load_volume"}
+
+
+def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch):
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_manifest(base, gt=True))
+    loads, started = [], threading.Event()
+    load = harness.load_volume
+
+    def slow_load(path):
+        loads.append(path.name)
+        if path.name == "seg_in.nii":
+            started.set()
+            time.sleep(0.5)  # holds the one decode thread while the record fails
+        return load(path)
+
+    def failing_nwd(*dists):
+        started.wait()
+        raise DegenerateNormalizer("input and target are indistinguishable")
+
+    monkeypatch.setattr(harness, "load_volume", slow_load)
+    monkeypatch.setattr(harness, "nwd", failing_nwd)
+    with pytest.raises(NoSuccessfulRows) as failed:
+        evaluate_all(records, EvalConfig(workers=1))
+    (row,) = failed.value.rows
+    assert row.status == "error: DegenerateNormalizer: input and target are indistinguishable"
+    assert loads == ["in.nii", "tg.nii", "pr.nii", "seg_in.nii"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_status_is_the_first_failure_in_pipeline_order(tiny_dataset, workers):
+    base, _ = tiny_dataset
+    _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
+    (base / "bad.nii").write_bytes(b"not a nifti file")
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        # a foreground that fails is outranked by a later column's file that fails
+        "r0,zero.nii,bad.nii,a.nii,,,,A,B,\n"
+        "r1,a.nii,b.nii,zero.nii,,bad.nii,bad.nii,A,B,\n"
+        # the segmentations decode during W1 but fail only after it
+        "r2,a.nii,a.nii,b.nii,,bad.nii,bad.nii,A,B,\n"
+        "r3,a.nii,b.nii,a.nii,bad.nii,seg.nii,,A,B,\n"
+        "r4,a.nii,b.nii,a.nii,bad.nii,seg.nii,seg.nii,A,B,\n"
+        "r5,a.nii,b.nii,a.nii,,seg.nii,seg.nii,A,B,\n"
+    )
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    kinds = [r.status.split(":")[1].strip() if not r.ok else "ok" for r in rows]
+    assert kinds == [
+        "MalformedHeader", "EmptyForeground", "DegenerateNormalizer", "ValueError", "MalformedHeader", "ok"
+    ]
+    assert "bad.nii" in rows[0].status and "bad.nii" in rows[4].status
+    assert "must both be set" in rows[3].status
 
 
 # ---------------------------------------------------------------- summaries
