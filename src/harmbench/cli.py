@@ -20,13 +20,12 @@ from pathlib import Path
 
 from . import __version__
 from .anatomy import anatomy_preservation, as_label_volume
-from .distribution import ForegroundPolicy
+from .distribution import ForegroundPolicy, extract_foreground
 from .errors import HarmbenchError, NoSuccessfulRows
 from .harness import (
     EvalConfig,
     emit_report,
     evaluate_all,
-    intensity_metrics,
     load_manifest,
     load_segmentation,
     read_results,
@@ -39,6 +38,7 @@ from .nifti import load_volume
 from .reference import SsimParams, paired_metrics
 from .stats import correlation_matrix
 from .synth import write_synthetic_dataset
+from .wasserstein import classify, nwd
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,8 +143,9 @@ def _config(ns) -> EvalConfig:
 
 
 def _cmd_wd(ns, config: EvalConfig) -> int:
-    grids = (load_volume(p) for p in (ns.input, ns.target, ns.pred))
-    pair, verdict = intensity_metrics(grids, config)
+    paths = (ns.input, ns.target, ns.pred)
+    pair = nwd(*(extract_foreground(load_volume(p), config.policy) for p in paths))
+    verdict = classify(pair, config.tol)
     fields = [
         ("wd_ip", pair.wd_ip),
         ("wd_tp", pair.wd_tp),

@@ -46,7 +46,6 @@ from .wasserstein import (
 )
 
 REQUIRED_COLUMNS = ("id", "input_path", "target_path", "pred_path", "site_in", "site_out")
-OPTIONAL_COLUMNS = ("gt_path", "seg_input_path", "seg_pred_path", "channel")
 
 METRIC_ORDER = ("ssim", "psnr", "mae", "mse", "nwd_ip", "nwd_tp", "ap")
 DISPLAY_NAMES = {
@@ -151,6 +150,8 @@ def _record_from_dict(raw: dict, base: Path, where: str) -> TripletRecord:
     for key in REQUIRED_COLUMNS:
         if get(key) is None:
             raise MissingColumn(f"{where}: required field {key!r} is missing or empty")
+    if (get("seg_input_path") is None) != (get("seg_pred_path") is None):
+        raise MissingColumn(f"{where}: seg_input_path and seg_pred_path must both be set or both empty")
 
     def path_of(key: str) -> Path | None:
         v = get(key)
@@ -243,26 +244,19 @@ def load_segmentation(path: Path, config: EvalConfig) -> LabelVolume:
     return as_label_volume(load_volume(path), config.labels)
 
 
-def intensity_metrics(
-    grids: Iterable[VoxelGrid], config: EvalConfig
-) -> tuple[WdPair, HarmonizationVerdict]:
-    """Normalized Wasserstein pair and verdict of (input, target, prediction)."""
-    pair = nwd(*(extract_foreground(g, config.policy) for g in grids))
-    return pair, classify(pair, config.tol)
-
-
 class _SharedFiles:
     """One run's decodes of the files its manifest names.
 
     What a record takes from a file is a product: the loaded grid for an
     intensity column, the label volume for a ``seg_*`` column. Each is a
-    future on the run's decode pool, submitted by the first record that
-    asks, so a record's files decode while it computes and a file named
-    by many rows is read once, from its spelling in the first row naming
-    it. Each use in the manifest is counted off once, when its record
-    takes the product or ends; after the last, the product is dropped and
-    its decode cancelled if not started. A failure is kept and raised to
-    every use, so they all get the same status.
+    future on the run's decode pool. A record submits the decodes of its
+    files when it starts, in column order, skipping any already
+    submitted; so its files decode while it computes, and a file named by
+    many rows is read once, from its spelling in the first row naming it. Each use in the manifest is counted off once,
+    when its record takes the product or ends; after the last, the
+    product is dropped and its decode cancelled if not started. A
+    failure is kept and raised to every use, so they all get the same
+    status.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
@@ -279,7 +273,7 @@ class _SharedFiles:
 
     @staticmethod
     def _named(rec: TripletRecord):
-        """((kind, resolved path), path) of every file ``rec`` names."""
+        """((kind, resolved path), path) of every file ``rec`` names, in column order."""
         for kind, paths in (
             ("grid", (rec.input_path, rec.target_path, rec.pred_path, rec.gt_path)),
             ("seg", (rec.seg_input_path, rec.seg_pred_path)),
@@ -288,19 +282,16 @@ class _SharedFiles:
                 if path is not None:
                     yield (kind, os.path.realpath(path)), path
 
-    def uses(self, rec: TripletRecord) -> Counter:
-        """The uses ``rec`` has to count off, by product."""
-        return Counter(key for key, _ in self._named(rec))
-
-    def ask(self, kind: str, path: Path) -> Future:
-        """The product's future, its decode submitted on the first ask."""
-        return self._future((kind, os.path.realpath(path)))
-
-    def _future(self, key: tuple[str, str]) -> Future:
+    def start(self, rec: TripletRecord) -> Counter:
+        """Submit the decodes of ``rec``'s products not yet submitted;
+        the uses ``rec`` has to count off, by product."""
+        owed = Counter()
         with self._lock:
-            if key not in self._made:
-                self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
-            return self._made[key]
+            for key, _ in self._named(rec):
+                owed[key] += 1
+                if key not in self._made:
+                    self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
+        return owed
 
     def _make(self, kind: str, path: Path):
         try:
@@ -318,7 +309,7 @@ class _SharedFiles:
         """The product, once decoded, counting off one of the uses in ``owed``."""
         key = (kind, os.path.realpath(path))
         try:
-            return self._future(key).result()
+            return self._made[key].result()
         except _RECORD_ERRORS as exc:
             # A copy each time: raising one instance again and again would
             # chain every record's frames onto its traceback.
@@ -341,48 +332,33 @@ class _SharedFiles:
 
 def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles) -> EvaluationRow:
     key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
-    owed = files.uses(rec)
+    owed = files.start(rec)
     try:
-        paths = (rec.input_path, rec.target_path, rec.pred_path)
-        for path in paths:
-            files.ask("grid", path)
         # Each grid is dropped once its foreground is out, but for the
-        # prediction when gt needs it. A file that fails outranks a
-        # foreground that fails, in any column.
-        dists, failed = [], None
-        for path in paths:
+        # prediction, which the gt metrics read first.
+        dists = []
+        for path in (rec.input_path, rec.target_path, rec.pred_path):
             grid = _single_channel(files.take("grid", path, owed), path, rec.channel)
-            try:
-                dists.append(extract_foreground(grid, config.policy))
-            except _RECORD_ERRORS as exc:
-                failed = failed or exc
-        if failed is not None:
-            raise failed
-        grid_p = grid if rec.gt_path else None
-        del grid
+            dists.append(extract_foreground(grid, config.policy))
 
-        # decoded while W1 runs
-        segs = (rec.seg_input_path, rec.seg_pred_path)
-        for path in segs if all(segs) else ():
-            files.ask("seg", path)
+        reference = None
         if rec.gt_path:
-            files.ask("grid", rec.gt_path)
+            grid_gt = _single_channel(files.take("grid", rec.gt_path, owed), rec.gt_path, rec.channel)
+            reference = paired_metrics(grid, grid_gt, config.policy, config.ssim)
+            del grid_gt
+        del grid  # no grid is alive during W1
+
         pair = nwd(*dists)
         verdict = classify(pair, config.tol)
         del dists
 
         ap = None
-        if any(segs):
-            if not all(segs):
-                raise ValueError("seg_input_path and seg_pred_path must both be set")
+        if rec.seg_input_path:
             ap = anatomy_preservation(
-                *(files.take("seg", path, owed) for path in segs), weighted=config.weighted_ap
+                files.take("seg", rec.seg_input_path, owed),
+                files.take("seg", rec.seg_pred_path, owed),
+                weighted=config.weighted_ap,
             )
-
-        reference = None
-        if rec.gt_path:
-            grid_gt = _single_channel(files.take("grid", rec.gt_path, owed), rec.gt_path, rec.channel)
-            reference = paired_metrics(grid_p, grid_gt, config.policy, config.ssim)
 
         return EvaluationRow(
             **key, status="ok", wd=pair, verdict=verdict, ap=ap, reference=reference
@@ -397,11 +373,13 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     """Evaluate every record on ``config.workers`` threads; row order
     follows the manifest. A file named by several rows is read once.
 
-    The files of each record decode on a second pool of
-    ``config.workers`` threads while the record computes; no record's
-    files are read before the record starts.
+    A record submits the decodes of all its files when it starts, on a
+    second pool of ``config.workers`` threads, and uses them in stage
+    order: intensities, gt metrics, W1, AP; no record's files are read
+    before the record starts.
 
-    Per-record failures land in the row status. Raises
+    Per-record failures land in the row status, the first failure in
+    stage order ending the record. Raises
     :class:`NoSuccessfulRows` (carrying the failed rows) only when every
     single record failed.
     """

@@ -22,6 +22,7 @@ from harmbench.errors import (
     UnsupportedFormat,
 )
 from harmbench import harness
+from harmbench.cli import run
 from harmbench.harness import (
     EvalConfig,
     EvaluationRow,
@@ -159,6 +160,34 @@ def test_json_manifest_missing_field(tmp_path):
     manifest.write_text(json.dumps([{"id": "x", "input_path": "a"}]))
     with pytest.raises(MissingColumn):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, capsys, suffix):
+    rows = [
+        {"id": "r0", "input_path": "in.nii", "target_path": "tg.nii", "pred_path": "pr.nii",
+         "site_in": "A", "site_out": "B"},
+        {"id": "r1", "input_path": "in.nii", "target_path": "tg.nii", "pred_path": "pr.nii",
+         "seg_input_path": "seg.nii", "site_in": "A", "site_out": "B"},
+    ]
+    manifest = tmp_path / f"m{suffix}"
+    if suffix == ".csv":
+        manifest.write_text(MANIFEST_HEADER + "\n" + "".join(
+            ",".join(row.get(c, "") for c in MANIFEST_HEADER.split(",")) + "\n" for row in rows
+        ))
+    else:
+        manifest.write_text(json.dumps(rows))
+    with pytest.raises(MissingColumn, match=r"record 1: seg_input_path and seg_pred_path"):
+        load_manifest(manifest)
+
+    # none of the named volumes exists: a run that read any would fail its rows instead
+    loads = []
+    monkeypatch.setattr(harness, "load_volume", lambda path: loads.append(path))
+    out = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: MissingColumn: ") and "record 1" in err[0]
+    assert not loads and not out.exists()
 
 
 def test_unreadable_manifest(tmp_path):
@@ -425,6 +454,7 @@ def _own_files_manifest(base, gt):
 
 @pytest.mark.parametrize("gt", [False, True])
 def test_grids_are_dropped_before_w1(tiny_dataset, monkeypatch, gt):
+    # the gt metrics run before W1, so no intensity grid is alive at W1, gt or not
     base, _ = tiny_dataset
     records = load_manifest(_own_files_manifest(base, gt))
     grids, alive = {}, []
@@ -444,8 +474,7 @@ def test_grids_are_dropped_before_w1(tiny_dataset, monkeypatch, gt):
     (row,) = evaluate_all(records, EvalConfig())
     assert row.ok and (row.reference is not None) == gt
     (at_w1,) = alive
-    assert not at_w1 & {"in.nii", "tg.nii"}
-    assert ("pr.nii" in at_w1) == gt  # the prediction is kept only for the gt metrics
+    assert not at_w1 & {"in.nii", "tg.nii", "pr.nii", "gt.nii"}
 
 
 def _failure_chain_frames(exc):
@@ -471,8 +500,9 @@ def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_datase
     records = load_manifest(base / "m.csv")
     with ThreadPoolExecutor(1) as pool:
         files = harness._SharedFiles(records, EvalConfig(), pool)
-        kept = files.ask("grid", base / "bad.nii.gz").exception()
-        owed = files.uses(records[0])
+        owed = files.start(records[0])
+        (product,) = (key for key in owed if key[1].endswith("bad.nii.gz"))
+        kept = files._made[product].exception()  # r1's use keeps the product
         with pytest.raises(MalformedHeader) as raised:
             files.take("grid", base / "bad.nii.gz", owed)
     assert isinstance(kept, MalformedHeader)
@@ -504,7 +534,8 @@ def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch
         evaluate_all(records, EvalConfig(workers=1))
     (row,) = failed.value.rows
     assert row.status == "error: DegenerateNormalizer: input and target are indistinguishable"
-    assert loads == ["in.nii", "tg.nii", "pr.nii", "seg_in.nii"]
+    # gt is taken before W1; seg_pr's decode is cancelled before it starts
+    assert loads == ["in.nii", "tg.nii", "pr.nii", "gt.nii", "seg_in.nii"]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -512,24 +543,26 @@ def test_status_is_the_first_failure_in_pipeline_order(tiny_dataset, workers):
     base, _ = tiny_dataset
     _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
     (base / "bad.nii").write_bytes(b"not a nifti file")
+    (base / "bad_seg.nii").write_bytes(b"not a nifti file")
     (base / "m.csv").write_text(
         MANIFEST_HEADER + "\n"
-        # a foreground that fails is outranked by a later column's file that fails
+        # an empty foreground ends the record before a later column's corrupt file
         "r0,zero.nii,bad.nii,a.nii,,,,A,B,\n"
         "r1,a.nii,b.nii,zero.nii,,bad.nii,bad.nii,A,B,\n"
-        # the segmentations decode during W1 but fail only after it
+        # the segmentations decode from the start but are used only after W1
         "r2,a.nii,a.nii,b.nii,,bad.nii,bad.nii,A,B,\n"
-        "r3,a.nii,b.nii,a.nii,bad.nii,seg.nii,,A,B,\n"
-        "r4,a.nii,b.nii,a.nii,bad.nii,seg.nii,seg.nii,A,B,\n"
+        # the gt metrics run before W1 and AP
+        "r3,a.nii,a.nii,b.nii,bad.nii,,,A,B,\n"
+        "r4,a.nii,b.nii,a.nii,bad.nii,bad_seg.nii,bad_seg.nii,A,B,\n"
         "r5,a.nii,b.nii,a.nii,,seg.nii,seg.nii,A,B,\n"
     )
     rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
     kinds = [r.status.split(":")[1].strip() if not r.ok else "ok" for r in rows]
     assert kinds == [
-        "MalformedHeader", "EmptyForeground", "DegenerateNormalizer", "ValueError", "MalformedHeader", "ok"
+        "EmptyForeground", "EmptyForeground", "DegenerateNormalizer", "MalformedHeader", "MalformedHeader", "ok"
     ]
-    assert "bad.nii" in rows[0].status and "bad.nii" in rows[4].status
-    assert "must both be set" in rows[3].status
+    assert "bad.nii" in rows[3].status and "bad.nii" in rows[4].status
+    assert "bad_seg.nii" not in rows[4].status
 
 
 # ---------------------------------------------------------------- summaries
