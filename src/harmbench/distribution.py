@@ -48,7 +48,7 @@ class EmpiricalDistribution:
             raise ValueError("values and counts must have equal length")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        if values.size > 1 and np.any(np.diff(values) < 0):
+        if np.any(values[1:] < values[:-1]):  # one byte per sample, not a float64 diff
             raise ValueError("values must be nondecreasing")
         if counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
@@ -145,5 +145,7 @@ def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDi
     # monotone, so the array is the one widening first would give, with
     # no float64 copy but the result.
     samples.sort()
-    return EmpiricalDistribution(samples.astype(np.float64), _unit_counts(samples.size))
+    values = samples.astype(np.float64)
+    del samples  # not held while the distribution checks the widened copy
+    return EmpiricalDistribution(values, _unit_counts(values.size))
 

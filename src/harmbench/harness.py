@@ -252,11 +252,16 @@ class _SharedFiles:
     future on the run's decode pool. A record submits the decodes of its
     files when it starts, in column order, skipping any already
     submitted; so its files decode while it computes, and a file named by
-    many rows is read once, from its spelling in the first row naming it. Each use in the manifest is counted off once,
-    when its record takes the product or ends; after the last, the
-    product is dropped and its decode cancelled if not started. A
-    failure is kept and raised to every use, so they all get the same
-    status.
+    many rows is read once, from its spelling in the first row naming it.
+    Once a record's intensities are in hand, it reads ahead: the files
+    of the first record in manifest order not yet started are submitted
+    too, so they decode during this record's later stages. No record
+    further ahead is read, whatever the pool's size.
+
+    Each use in the manifest is counted off once, when its record takes
+    the product or ends; after the last, the product is dropped and its
+    decode cancelled if not started. A failure is kept and raised to
+    every use, so they all get the same status.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
@@ -269,6 +274,10 @@ class _SharedFiles:
                 self._left[key] += 1
                 self._path.setdefault(key, path)
         self._made: dict[tuple[str, str], Future] = {}
+        self._records = records
+        # records started so far; the pool starts them in manifest order,
+        # so the next to start is self._records[self._started]
+        self._started = 0
         self._lock = threading.Lock()
 
     @staticmethod
@@ -285,12 +294,24 @@ class _SharedFiles:
     def start(self, rec: TripletRecord) -> Counter:
         """Submit the decodes of ``rec``'s products not yet submitted;
         the uses ``rec`` has to count off, by product."""
-        owed = Counter()
         with self._lock:
-            for key, _ in self._named(rec):
-                owed[key] += 1
-                if key not in self._made:
-                    self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
+            self._started += 1
+            return self._submit(rec)
+
+    def read_ahead(self) -> None:
+        """Submit the decodes of the next record to start, if any."""
+        with self._lock:
+            if self._started < len(self._records):
+                self._submit(self._records[self._started])
+
+    def _submit(self, rec: TripletRecord) -> Counter:
+        owed = Counter()
+        for key, _ in self._named(rec):
+            owed[key] += 1
+            # a product whose uses are all counted off is not made again: the
+            # next record to start may have started out of order and taken it
+            if key in self._left and key not in self._made:
+                self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
         return owed
 
     def _make(self, kind: str, path: Path):
@@ -340,6 +361,8 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
         for path in (rec.input_path, rec.target_path, rec.pred_path):
             grid = _single_channel(files.take("grid", path, owed), path, rec.channel)
             dists.append(extract_foreground(grid, config.policy))
+        # the next record's files queue behind this one's gt and segmentations
+        files.read_ahead()
 
         reference = None
         if rec.gt_path:
@@ -375,8 +398,9 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
 
     A record submits the decodes of all its files when it starts, on a
     second pool of ``config.workers`` threads, and uses them in stage
-    order: intensities, gt metrics, W1, AP; no record's files are read
-    before the record starts.
+    order: intensities, gt metrics, W1, AP. Once its intensities are in
+    hand, it also submits those of the next record to start, so they
+    decode while it computes; at most that one record is read ahead.
 
     Per-record failures land in the row status, the first failure in
     stage order ending the record. Raises

@@ -87,6 +87,8 @@ def test_monotone_maps_commute_with_extraction(f):
 def test_distribution_invariants_enforced():
     with pytest.raises(ValueError, match="nondecreasing"):
         EmpiricalDistribution([2.0, 1.0], [1, 1])  # unsorted
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalDistribution([1.0, np.nan, 2.0], [1, 1, 1])  # NaN compares as in order
     with pytest.raises(ValueError, match="positive"):
         EmpiricalDistribution([1.0, 2.0], [1, 0])  # zero count
     with pytest.raises(ValueError, match="integers"):

@@ -1,6 +1,7 @@
 """Manifest ingestion, batch evaluation, summaries, and reports."""
 import json
 import math
+import os
 import shutil
 import sys
 import threading
@@ -406,11 +407,13 @@ def test_corrupt_gzip_pred_fails_only_its_row(tiny_dataset):
         "r1,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
         "r2,a.nii,b.nii,b.nii,,,,A,B,\n"
     )
-    for workers in (1, 3):
-        rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    # at one worker, r1's files are read ahead while r0 computes
+    runs = [evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers)) for workers in (1, 3)]
+    for rows in runs:
         assert [r.ok for r in rows] == [True, False, True]
         assert rows[1].status.startswith("error: MalformedHeader: ")
         assert "bad.nii.gz" in rows[1].status
+    assert [row_cells(r) for r in runs[0]] == [row_cells(r) for r in runs[1]]
 
 
 def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch):
@@ -475,6 +478,133 @@ def test_grids_are_dropped_before_w1(tiny_dataset, monkeypatch, gt):
     assert row.ok and (row.reference is not None) == gt
     (at_w1,) = alive
     assert not at_w1 & {"in.nii", "tg.nii", "pr.nii", "gt.nii"}
+
+
+def _own_files_rows(base, rows, same_input_target=()):
+    """``rows`` rows with gt and segmentations, each column of row ``ri``
+    naming its own copy ``ri_<column>.nii``; the rows listed in
+    ``same_input_target`` name one file as input and target."""
+    lines = [MANIFEST_HEADER]
+    for i in range(rows):
+        for name, source in (("in", "a"), ("tg", "b"), ("pr", "a"), ("gt", "a"), ("seg_in", "seg"), ("seg_pr", "seg")):
+            shutil.copy(base / f"{source}.nii", base / f"r{i}_{name}.nii")
+        target = "in" if i in same_input_target else "tg"
+        lines.append(f"r{i},r{i}_in.nii,r{i}_{target}.nii,r{i}_pr.nii,r{i}_gt.nii,r{i}_seg_in.nii,r{i}_seg_pr.nii,A,B,")
+    manifest = base / "rows.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+class _ReadAheadLog:
+    """Patches the harness to log, in one list, each record's start and
+    each file's load. At each load it notes the records not yet started
+    that have decodes submitted; record 0's W1 waits (bounded) for record
+    1's input to load, then notes the loads done so far."""
+
+    def __init__(self, monkeypatch):
+        self.events, self.loads_at_w1, self.ahead = [], None, []
+        self._loaded, self._local = threading.Event(), threading.local()
+        load, w1, evaluate = harness.load_volume, harness.nwd, harness._evaluate_record
+
+        def logged_load(path):
+            with self._files._lock:
+                submitted = {os.path.basename(key[1]).split("_")[0] for key in self._files._made}
+            self.ahead.append(submitted - {name for kind, name in self.events if kind == "start"})
+            self.events.append(("load", path.name))
+            grid = load(path)
+            if path.name == "r1_in.nii":
+                self._loaded.set()
+            return grid
+
+        def logged_nwd(*dists):
+            if self._local.id == "r0":
+                self._loaded.wait(5)
+                self.loads_at_w1 = {name for kind, name in self.events if kind == "load"}
+            return w1(*dists)
+
+        def logged_evaluate(rec, config, files):
+            self._files = files
+            self.events.append(("start", rec.id))
+            self._local.id = rec.id
+            return evaluate(rec, config, files)
+
+        monkeypatch.setattr(harness, "load_volume", logged_load)
+        monkeypatch.setattr(harness, "nwd", logged_nwd)
+        monkeypatch.setattr(harness, "_evaluate_record", logged_evaluate)
+
+    def loads(self):
+        return Counter(name for kind, name in self.events if kind == "load")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, workers):
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 3))
+    log = _ReadAheadLog(monkeypatch)
+    rows = evaluate_all(records, EvalConfig(workers=workers))
+    assert all(r.ok for r in rows)
+    # record 1's files decode while record 0 computes, even on one thread
+    assert "r1_in.nii" in log.loads_at_w1
+    first_r2_load = min(i for i, (kind, name) in enumerate(log.events) if name.startswith("r2_"))
+    assert log.events.index(("start", "r1")) < first_r2_load
+    assert max(map(len, log.ahead)) == 1  # one record ahead at most
+    assert set(log.loads().values()) == {1} and len(log.loads()) == 3 * 6
+
+
+def _counted_loads(monkeypatch):
+    """The loads of each file name, counted from now on."""
+    loads = Counter()
+    load = harness.load_volume
+
+    def counted_load(path):
+        loads[path.name] += 1
+        return load(path)
+
+    monkeypatch.setattr(harness, "load_volume", counted_load)
+    return loads
+
+
+def test_read_ahead_reads_each_own_file_once_under_thread_switches(tiny_dataset, monkeypatch):
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 12))
+    loads = _counted_loads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # records start out of order, and read ahead past each other
+    try:
+        rows = evaluate_all(records, EvalConfig(workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.ok for r in rows)
+    assert len(loads) == 12 * 6 and set(loads.values()) == {1}
+
+
+def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monkeypatch):
+    # two records can start out of order: here record 1 starts first, so
+    # its own read-ahead still takes it for the next record to start
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 2))
+    loads = _counted_loads(monkeypatch)
+    with ThreadPoolExecutor(1) as pool:
+        files = harness._SharedFiles(records, EvalConfig(), pool)
+        owed = files.start(records[1])
+        files.take("grid", records[1].input_path, owed)
+        files.read_ahead()
+        files.count_off(+owed)
+        assert not files._made
+    assert loads["r1_in.nii"] == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_record_keeps_the_next_records_read_ahead(tiny_dataset, monkeypatch, workers):
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 2, same_input_target={0}))
+    log = _ReadAheadLog(monkeypatch)
+    rows = evaluate_all(records, EvalConfig(workers=workers))
+    assert rows[0].status.startswith("error: DegenerateNormalizer: ")
+    assert rows[1].ok
+    # record 1's input was read ahead before record 0 failed, and not read again
+    assert "r1_in.nii" in log.loads_at_w1
+    assert all(log.loads()[f"r1_{name}.nii"] == 1 for name in ("in", "tg", "pr", "gt", "seg_in", "seg_pr"))
 
 
 def _failure_chain_frames(exc):
