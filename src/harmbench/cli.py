@@ -21,8 +21,9 @@ from pathlib import Path
 from . import __version__
 from .anatomy import anatomy_preservation, as_label_volume
 from .distribution import ForegroundPolicy, extract_foreground
-from .errors import HarmbenchError, NoSuccessfulRows
+from .errors import NoSuccessfulRows
 from .harness import (
+    _RECORD_ERRORS,
     EvalConfig,
     emit_report,
     evaluate_all,
@@ -350,7 +351,7 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog} {ns.cmd}: error: {exc}", file=sys.stderr)
         return 1
-    except (HarmbenchError, OSError, ValueError) as exc:
+    except _RECORD_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -58,7 +58,8 @@ DISPLAY_NAMES = {
     "ap": "AP(i,p)",
 }
 
-# What one record may fail with; anything else aborts the batch.
+# What one record may fail with; anything else aborts the batch. The CLI
+# exits 2 (data error) on the same set.
 _RECORD_ERRORS = (HarmbenchError, OSError, ValueError)
 
 ROW_COLUMNS = (

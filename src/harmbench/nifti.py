@@ -5,9 +5,12 @@ from the ``sizeof_hdr`` field reading as 348) and keeps the voxels in
 the file's own dtype, as a read-only view of the decoded file: only a
 ``scl_slope`` / ``scl_inter`` scaling widens them to float64. Gzip
 containers are auto-detected from the leading two bytes, not the file
-extension. Paired ``.hdr``/``.img`` volumes (magic ``ni1``) are
-rejected: every referenced dataset ships single-file volumes, and the
-split layout would double the parser surface for nothing.
+extension. Each load parses the header once. Axes past its rank
+``dim[0]`` are ignored: they have extent 1 and spacing 1.0, whatever
+the header stores there; axes 4 and up are channels. Paired
+``.hdr``/``.img`` volumes (magic ``ni1``) are rejected: every
+referenced dataset ships single-file volumes, and the split layout
+would double the parser surface for nothing.
 
 Orientation is not carried into the loaded grid: ``load_volume``
 drops the header, and only ``parse_header(...).affine`` exposes the
@@ -53,7 +56,6 @@ _DTYPES = {
     16: np.dtype(np.float32),
     64: np.dtype(np.float64),
 }
-_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64}
 
 
 @dataclass(frozen=True)
@@ -82,50 +84,6 @@ class NiftiHeader:
         return np.array(
             [rows[0:4], rows[4:8], rows[8:12], [0.0, 0.0, 0.0, 1.0]], dtype=np.float64
         )
-
-
-def _read_bytes(path: Path) -> bytes:
-    """The file's bytes, inflated when they start with the gzip magic.
-
-    A single-member gzip file is inflated by one zlib call into a buffer
-    of the size its ISIZE trailer declares, capped at what deflate can
-    expand the file to, so a forged trailer cannot allocate gigabytes;
-    zlib checks the CRC and the length. When that call fails, or its
-    output is not ISIZE long or lacks voxels the header asks for (a file
-    of several members), the file is decoded again member by member,
-    which also types the error.
-    """
-    buf = path.read_bytes()
-    if buf[:2] != GZIP_MAGIC:
-        return buf
-    isize = int.from_bytes(buf[-4:], "little")
-    try:
-        out = zlib.decompress(buf, 31, min(isize, _DEFLATE_MAX_RATIO * len(buf)) or 1)
-    except zlib.error:
-        out = b""
-    if len(out) == isize and _holds_its_voxels(out):
-        return out
-    try:
-        return gzip.decompress(buf)
-    except (gzip.BadGzipFile, zlib.error) as exc:
-        raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
-    except EOFError as exc:
-        raise TruncatedData(f"{path}: truncated gzip stream") from exc
-
-
-def _holds_its_voxels(buf: bytes) -> bool:
-    """Whether ``buf`` has a valid header and all the voxel bytes it asks for.
-
-    zlib stops silently after the first gzip member, and a first member
-    as long as the last one's ISIZE passes the length check, so a
-    multi-member file is told apart by its missing data.
-    """
-    try:
-        hdr = parse_header(buf)
-    except HarmbenchError:
-        return False
-    offset, count = _voxel_span(hdr)
-    return len(buf) - offset >= count * _DTYPES[hdr.datatype].itemsize
 
 
 def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
@@ -159,19 +117,17 @@ def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
         raise UnsupportedDatatype(
             f"{name}: datatype code {datatype} not in supported set {sorted(_DTYPES)}"
         )
-    if bitpix != _BITPIX[datatype]:
+    expected = 8 * _DTYPES[datatype].itemsize
+    if bitpix != expected:
         raise MalformedHeader(
             f"{name}: bitpix {bitpix} inconsistent with datatype {datatype} "
-            f"(expected {_BITPIX[datatype]})"
+            f"(expected {expected})"
         )
 
     rank = dim[0]
     if not 1 <= rank <= 7:
         raise MalformedHeader(f"{name}: dim[0] (rank) must be in 1..7, got {rank}")
-    for axis in range(1, min(rank, 3) + 1):
-        if dim[axis] < 1:
-            raise MalformedHeader(f"{name}: dim[{axis}] must be >= 1, got {dim[axis]}")
-    for axis in range(4, rank + 1):
+    for axis in range(1, rank + 1):
         if dim[axis] < 1:
             raise MalformedHeader(f"{name}: dim[{axis}] must be >= 1, got {dim[axis]}")
     for axis in range(1, min(rank, 3) + 1):
@@ -197,24 +153,57 @@ def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
     )
 
 
-def _grid_shape(hdr: NiftiHeader) -> tuple[tuple[int, int, int], int]:
+def _decode(buf: bytes, path: Path):
+    """The header of the decoded file ``buf``, its layout (the grid's
+    dims, channel count and spacing) and a view of its voxels."""
+    hdr = parse_header(buf, name=str(path))
     rank = hdr.dim[0]
-    extents = [hdr.dim[a] if a <= rank else 1 for a in (1, 2, 3)]
-    channels = 1
-    for axis in range(4, rank + 1):
-        channels *= hdr.dim[axis]
-    return (extents[0], extents[1], extents[2]), channels
+    dims = tuple(hdr.dim[a] if a <= rank else 1 for a in (1, 2, 3))
+    spacing = tuple(hdr.pixdim[a] if a <= rank else 1.0 for a in (1, 2, 3))
+    channels = math.prod(hdr.dim[4 : rank + 1])
+    offset, count = int(round(hdr.vox_offset)), math.prod(dims) * channels
+
+    dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
+    need = count * dtype.itemsize
+    if len(buf) - offset < need:
+        raise TruncatedData(
+            f"{path}: need {need} data bytes at offset {offset}, file has "
+            f"{max(len(buf) - offset, 0)}"
+        )
+    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+    return hdr, dims, channels, spacing, values
 
 
-def _voxel_span(hdr: NiftiHeader) -> tuple[int, int]:
-    """(byte offset, voxel count) of the data ``hdr`` describes."""
-    (nx, ny, nz), channels = _grid_shape(hdr)
-    return int(round(hdr.vox_offset)), nx * ny * nz * channels
+def _read(path: Path):
+    """:func:`_decode` of the file, inflated if it starts with the gzip magic.
 
-
-def _spacing(hdr: NiftiHeader) -> tuple[float, float, float]:
-    rank = hdr.dim[0]
-    return tuple(hdr.pixdim[a] if a <= rank else 1.0 for a in (1, 2, 3))
+    A single-member gzip file is inflated by one zlib call into a buffer
+    of the size its ISIZE trailer declares, capped at what deflate can
+    expand the file to, so a forged trailer cannot allocate gigabytes;
+    zlib checks the CRC and the length. zlib stops silently after the
+    first member, and a first member may be as long as the last one's
+    ISIZE, so the output is kept only if it also holds the voxels its
+    header asks for. Otherwise the file is decoded again member by
+    member, which also types the error.
+    """
+    buf = path.read_bytes()
+    if buf[:2] != GZIP_MAGIC:
+        return _decode(buf, path)
+    isize = int.from_bytes(buf[-4:], "little")
+    try:
+        out = zlib.decompress(buf, 31, min(isize, _DEFLATE_MAX_RATIO * len(buf)) or 1)
+        if len(out) == isize:
+            return _decode(out, path)
+    except (zlib.error, HarmbenchError):
+        pass
+    out = None  # not alive beside the second inflate
+    try:
+        out = gzip.decompress(buf)
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
+    except EOFError as exc:
+        raise TruncatedData(f"{path}: truncated gzip stream") from exc
+    return _decode(out, path)
 
 
 def load_volume(path: str | Path) -> VoxelGrid:
@@ -226,19 +215,7 @@ def load_volume(path: str | Path) -> VoxelGrid:
     0 means no scaling), widens them to float64.
     """
     path = Path(path)
-    buf = _read_bytes(path)
-    hdr = parse_header(buf, name=str(path))
-    dims, channels = _grid_shape(hdr)
-    offset, count = _voxel_span(hdr)
-
-    dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
-    need = count * dtype.itemsize
-    if len(buf) - offset < need:
-        raise TruncatedData(
-            f"{path}: need {need} data bytes at offset {offset}, file has "
-            f"{max(len(buf) - offset, 0)}"
-        )
-    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+    hdr, dims, channels, spacing, values = _read(path)
 
     slope, inter = hdr.scl_slope, hdr.scl_inter
     if not (math.isfinite(slope) and math.isfinite(inter)):
@@ -253,7 +230,7 @@ def load_volume(path: str | Path) -> VoxelGrid:
         values = values.astype(values.dtype.newbyteorder("="))
 
     try:
-        return VoxelGrid(dims, _spacing(hdr), values, channel_count=channels)
+        return VoxelGrid(dims, spacing, values, channel_count=channels)
     except NonFiniteVoxel:
         raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity") from None
 

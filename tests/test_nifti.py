@@ -1,5 +1,6 @@
 """Volume I/O: header parsing, scaling, round trips, typed failures."""
 import gzip
+import math
 import tracemalloc
 import warnings
 
@@ -13,11 +14,12 @@ from harmbench.errors import (
     TruncatedData,
     UnsupportedDatatype,
 )
+from harmbench import nifti
 from harmbench.nifti import load_volume, parse_header, write_volume
 from harmbench.synth import PhantomSpec, Sphere, generate_phantom
 from harmbench.volume import VoxelGrid
 
-from nifti_fixtures import DT_NUMPY, build_nifti, byteswap_nifti, corrupt_deflate
+from nifti_fixtures import DT_BITPIX, DT_NUMPY, build_nifti, byteswap_nifti, corrupt_deflate
 
 
 def _write(tmp_path, blob, name="vol.nii"):
@@ -223,6 +225,24 @@ def test_four_dim_file_maps_to_channels(tmp_path):
     np.testing.assert_array_equal(grid.channel(1).values, np.arange(8, 16, dtype=np.float64))
 
 
+@pytest.mark.parametrize(
+    "dim, pixdim, dims, spacing, channels",
+    [
+        # the header's zeros past the rank are neither extents nor spacings
+        pytest.param((1, 5, 0, 0, 0, 0, 0, 0), (1, 0.5, 0, 0), (5, 1, 1), (0.5, 1.0, 1.0), 1, id="rank1"),
+        pytest.param((2, 3, 4, 0, 0, 0, 0, 0), (1, 0.5, 0.25, 0), (3, 4, 1), (0.5, 0.25, 1.0), 1, id="rank2"),
+        pytest.param((5, 2, 2, 2, 2, 3, 0, 0), (1, 0.5, 0.25, 2.0), (2, 2, 2), (0.5, 0.25, 2.0), 6, id="rank5"),
+    ],
+)
+def test_axes_past_the_rank_are_ignored(tmp_path, dim, pixdim, dims, spacing, channels):
+    size = math.prod(dims)
+    blob = build_nifti(np.arange(size * channels, dtype=np.float32), dim=dim, pixdim=pixdim)
+    grid = load_volume(_write(tmp_path, blob))
+    assert grid.dims == dims and grid.spacing == spacing and grid.channel_count == channels
+    for c in range(channels):
+        np.testing.assert_array_equal(grid.channel(c).values, np.arange(c * size, (c + 1) * size))
+
+
 def test_loaded_values_are_immutable(tmp_path):
     blob = build_nifti(np.zeros((2, 2, 2), dtype=np.float32))
     grid = load_volume(_write(tmp_path, blob))
@@ -315,6 +335,43 @@ def test_vox_offset_inside_header_is_malformed(tmp_path):
         load_volume(_write(tmp_path, blob))
 
 
+_ZEROS = np.zeros((2, 2, 2), np.float32)
+
+
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzipped"])
+@pytest.mark.parametrize(
+    "data, fields, error, match",
+    [
+        pytest.param(_ZEROS, dict(sizeof_hdr=340), MalformedHeader, "sizeof_hdr", id="sizeof_hdr"),
+        pytest.param(_ZEROS, dict(magic=b"ni1\x00"), MalformedHeader, "single-file", id="paired"),
+        pytest.param(_ZEROS, dict(magic=b"abcd"), MalformedHeader, "magic", id="magic"),
+        pytest.param(_ZEROS, dict(datatype=32), UnsupportedDatatype, "datatype", id="datatype"),
+        *(
+            pytest.param(
+                _ZEROS, dict(datatype=code, bitpix=2 * DT_BITPIX[code]), MalformedHeader,
+                f"bitpix {2 * DT_BITPIX[code]} inconsistent with datatype {code} "
+                rf"\(expected {DT_BITPIX[code]}\)",
+                id=f"bitpix-{code}",
+            )
+            for code in sorted(DT_NUMPY)
+        ),
+        pytest.param(_ZEROS, dict(dim=(0, 2, 2, 2, 1, 1, 1, 1)), MalformedHeader, "rank", id="rank"),
+        pytest.param(np.zeros(0, np.float32), dict(dim=(3, 2, 0, 2, 1, 1, 1, 1)), MalformedHeader,
+                     r"dim\[2\] must be >= 1", id="extent"),
+        pytest.param(_ZEROS, dict(pixdim=(1, 1.0, 0.0, 1.0)), MalformedHeader, "pixdim", id="pixdim"),
+        pytest.param(_ZEROS, dict(vox_offset=128.0), MalformedHeader, "vox_offset", id="vox_offset"),
+        pytest.param(np.zeros((4, 4, 4), np.float32), dict(truncate_data_to=100), TruncatedData,
+                     "need 256 data bytes at offset 352, file has 100", id="truncated"),
+    ],
+)
+def test_typed_failure_is_the_same_plain_or_gzipped(tmp_path, data, fields, error, match, gzipped):
+    # the plain file and its gzipped twin fail alike: same type, same message
+    path = _write(tmp_path, build_nifti(data, gzipped=gzipped, **fields))
+    with pytest.raises(error, match=match) as raised:
+        load_volume(path)
+    assert type(raised.value) is error and str(raised.value).startswith(f"{path}: ")
+
+
 def test_corrupt_gzip_stream(tmp_path):
     blob = build_nifti(np.zeros((2, 2, 2), np.float32), gzipped=True)
     with pytest.raises((MalformedHeader, TruncatedData)):
@@ -387,6 +444,20 @@ def test_forged_isize_is_capped_and_fails_typed(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1032 * len(blob) + 2 ** 20
+
+
+def test_gzip_header_is_parsed_once_per_load(tmp_path, monkeypatch):
+    path = _write(tmp_path, build_nifti(np.arange(8, dtype=np.float32), gzipped=True), "one.nii.gz")
+    calls = []
+    parse = nifti.parse_header
+
+    def counted_parse(buf, **kwargs):
+        calls.append(kwargs)
+        return parse(buf, **kwargs)
+
+    monkeypatch.setattr(nifti, "parse_header", counted_parse)
+    np.testing.assert_array_equal(load_volume(path).values, np.arange(8))
+    assert calls == [{"name": str(path)}]
 
 
 def test_write_failure_maps_to_io_failure(tmp_path):
