@@ -159,6 +159,49 @@ def wd_side_sums_fsum(a, b) -> tuple[float, float]:
     return math.fsum(np.concatenate((p[in_a], e[in_a]))), math.fsum(np.concatenate((p[in_b], e[in_b])))
 
 
+def wd_full_length_side_sums(a, b) -> float:
+    """The library's W1 with each side's terms made in full-length arrays
+    and summed by one ``d.sum()``: the breakpoints, levels, widths and
+    gaps of a whole side at once, as the library made them before it
+    worked one block at a time. It must give the same bits as the blocked
+    sum, whose blocks are added along numpy's own pairwise tree.
+    """
+    n_a, n_b = int(np.sum(a.counts)), int(np.sum(b.counts))
+
+    def side_sum(own, other, n_own, n_other):
+        own_unit = own.n == n_own
+        if own_unit:
+            q = np.arange(1, n_own + 1, dtype=np.int64)
+        else:
+            q = np.cumsum(own.counts)
+        q *= n_other
+        s = q - 1
+        s //= n_own
+        if other.n == n_other:
+            d = other.values[s]
+            if own_unit:
+                step = n_own // math.gcd(n_own, n_other)
+                shared = slice(step - 1, None, step)
+            else:
+                shared = q % n_own == 0
+        else:
+            cum = np.cumsum(other.counts)
+            rank = np.searchsorted(cum, s, "right")
+            d = other.values[rank]
+            shared = cum[rank] * n_own == q
+            s = np.concatenate(([0], cum))[rank]
+        s *= n_own
+        np.maximum(s[1:], q[:-1], out=s[1:])
+        q -= s
+        d -= own.values
+        np.abs(d, out=d)
+        d[shared] *= 0.5
+        d *= q
+        return float(d.sum())
+
+    return (side_sum(a, b, n_a, n_b) + side_sum(b, a, n_b, n_a)) / (n_a * n_b)
+
+
 def mae_mse_direct(pred_flat, gt_flat, fg_flat) -> tuple[float, float]:
     """Two-pass loop over the union-foreground voxels (already normalized)."""
     abs_sum = 0.0

@@ -545,7 +545,9 @@ class _ReadAheadLog:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, workers):
     base, _ = tiny_dataset
-    records = load_manifest(_own_files_rows(base, 3))
+    # four records, so that at two workers two records are still unstarted
+    # while the first computes: reading two ahead would then show
+    records = load_manifest(_own_files_rows(base, 4))
     log = _ReadAheadLog(monkeypatch, workers)
     rows = evaluate_all(records, EvalConfig(workers=workers))
     assert all(r.ok for r in rows)
@@ -554,7 +556,7 @@ def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, wor
     first_r2_load = min(i for i, (kind, name) in enumerate(log.events) if name.startswith("r2_"))
     assert log.events.index(("start", "r1")) < first_r2_load
     assert max(map(len, log.ahead)) == 1  # one record ahead at most
-    assert set(log.loads().values()) == {1} and len(log.loads()) == 3 * 6
+    assert set(log.loads().values()) == {1} and len(log.loads()) == 4 * 6
 
 
 def _counted_loads(monkeypatch):

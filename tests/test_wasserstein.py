@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmbench
+from harmbench import wasserstein
 from harmbench.distribution import EmpiricalDistribution
 from harmbench.errors import DegenerateNormalizer
 from harmbench.wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
@@ -21,6 +22,7 @@ from oracles import (
     wd_breakpoints_fraction,
     wd_breakpoints_searchsorted,
     wd_cdf_integral,
+    wd_full_length_side_sums,
     wd_matching,
     wd_side_sums_fsum,
 )
@@ -285,19 +287,106 @@ def test_within_pairwise_summation_bound_on_a_large_unit_pair():
         assert ulps <= h + 5, f"{float(ulps):.2f} ulps"
 
 
-def test_peak_memory_is_under_two_merged_length_arrays():
-    # each side's sum holds three arrays of its own length at most
-    rng = np.random.default_rng(8)
-    a = _u(rng.normal(100.0, 20.0, 200_000))
-    b = _u(rng.normal(110.0, 25.0, 200_003))
-    merged_bytes = (a.n + b.n) * 8
+B = wasserstein._BLOCK
+
+
+def _leaf_edges(n):
+    """Where the block tree of a side of n breakpoints starts a new block:
+    numpy's pairwise halving, replayed down to ranges of at most B."""
+    edges, ranges = [], [(0, n)]
+    while ranges:
+        lo, hi = ranges.pop()
+        half = (hi - lo) // 2
+        half -= half % 8
+        if hi - lo <= B:
+            edges.append(lo)
+        else:
+            ranges += [(lo + half, hi), (lo, lo + half)]
+    return edges[1:]
+
+
+def _unit(rng, n):
+    return _u(rng.normal(100.0, 20.0, n))
+
+
+def _counted(rng, n):
+    return EmpiricalDistribution(np.sort(rng.normal(104.0, 22.0, n)), rng.integers(1, 4, n))
+
+
+def _same_bits_as_one_full_length_sum(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert wasserstein_1d(x, y) == wd_full_length_side_sums(x, y)
+
+
+@pytest.mark.parametrize("kinds", ["unit", "counted", "mixed"])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 7, 3 * B + 1])
+def test_block_edges_give_the_bits_of_one_full_length_sum(n, kinds):
+    rng = np.random.default_rng(n)
+    make_a = _counted if kinds == "counted" else _unit
+    make_b = _unit if kinds == "unit" else _counted
+    for m in (n, n - 5, 2 * n + 3):
+        _same_bits_as_one_full_length_sum(make_a(rng, n), make_b(rng, m))
+
+
+@pytest.mark.parametrize("n_a,n_b", [(2 * B, 3 * B), (2 * B, 2 * B), (4 * B, 6 * B)])
+def test_breakpoints_shared_on_a_block_edge_give_the_same_bits(n_a, n_b):
+    # a breakpoint shared by both sides ends the block before an edge
+    for own, other in ((n_a, n_b), (n_b, n_a)):
+        step = own // math.gcd(own, other)
+        assert any(edge % step == 0 for edge in _leaf_edges(own))
+    rng = np.random.default_rng(n_a + n_b)
+    _same_bits_as_one_full_length_sum(_unit(rng, n_a), _unit(rng, n_b))
+    # twos on both sides share a breakpoint wherever the cumulative counts tie
+    twos_a = EmpiricalDistribution(np.sort(rng.normal(0.0, 1.0, n_a)), np.full(n_a, 2))
+    twos_b = EmpiricalDistribution(np.sort(rng.normal(0.5, 1.0, n_b)), np.full(n_b, 2))
+    _same_bits_as_one_full_length_sum(twos_a, twos_b)
+
+
+def test_random_pairs_give_the_bits_of_one_full_length_sum():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        sizes = np.exp(rng.uniform(0.0, math.log(4 * B), 2)).astype(int)
+        kinds = rng.choice([_unit, _counted], 2)
+        _same_bits_as_one_full_length_sum(kinds[0](rng, sizes[0]), kinds[1](rng, sizes[1]))
+
+
+@pytest.mark.parametrize("kinds", ["unit", "counted", "mixed"])
+def test_block_size_changes_no_bit(monkeypatch, kinds):
+    # the blocks follow numpy's pairwise tree, so any block of at least its
+    # 128-term leaf gives the same float as a single block
+    rng = np.random.default_rng(3)
+    n = 5 * B + 3
+    a = (_counted if kinds == "counted" else _unit)(rng, n)
+    b = (_unit if kinds == "unit" else _counted)(rng, n + 1001)
+    got = []
+    for block in (128, 1024, B, 2 * n):
+        monkeypatch.setattr(wasserstein, "_BLOCK", block)
+        got.append((wasserstein_1d(a, b), wasserstein_1d(b, a)))
+    assert len(set(got)) == 1
+
+
+def _traced_peak(a, b):
     tracemalloc.start()
     try:
         wasserstein_1d(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * merged_bytes, f"peak {peak / merged_bytes:.2f} x merged length"
+
+
+def test_peak_memory_is_a_few_blocks_at_any_size():
+    # a side's terms are made one block at a time: a few arrays of at most
+    # B breakpoints are alive at once, however long the sides are
+    block_bytes = B * 8
+    rng = np.random.default_rng(8)
+    a, b = _unit(rng, 10**6), _unit(rng, 10**6 + 3)
+    peak = _traced_peak(a, b)
+    assert peak < 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
+    # with counts, a side also holds the other side's cumulative counts
+    c, d = _counted(rng, 10**6), _counted(rng, 10**6 - 7)
+    cum_bytes = (max(c.n, d.n) + 1) * 8
+    peak = _traced_peak(c, d)
+    assert peak < cum_bytes + 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
 
 # --------------------------------------------------------------- normalized
