@@ -44,6 +44,7 @@ from harmbench.reference import PairedMetricRow
 from harmbench.volume import VoxelGrid
 from harmbench.wasserstein import HarmonizationVerdict, Verdict, WdPair
 
+from golden_dataset import GOLDEN, build_dataset, golden_outputs
 from nifti_fixtures import corrupt_deflate
 
 MANIFEST_HEADER = "id,input_path,target_path,pred_path,gt_path,seg_input_path,seg_pred_path,site_in,site_out,channel"
@@ -832,3 +833,13 @@ def test_rows_csv_round_trip_and_determinism(tiny_dataset):
     assert series.values[0] == 1.0
     blank = series_from_rows([{"nwd_tp": ""}], "nwd_tp")
     assert math.isnan(blank.values[0])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_results_and_report_equal_the_golden_files(tmp_path, workers):
+    # any change to a bit of any cell, a status text or the layout shows here;
+    # a change meant to move bits rewrites the files with tests/golden_dataset.py
+    build_dataset(tmp_path / "dataset")
+    results, report = golden_outputs(tmp_path / "dataset", workers)
+    assert results == (GOLDEN / "results.csv").read_bytes()
+    assert report == (GOLDEN / "report.csv").read_bytes()
