@@ -7,7 +7,7 @@ explicit mask overrides it for anything else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,10 +34,16 @@ class ForegroundPolicy:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted intensity samples with positive integer multiplicities."""
+    """Sorted intensity samples with positive integer multiplicities.
+
+    ``total`` is the exact sum of the counts as a Python int, made once
+    on construction: from the one count of a zero-stride view, else by
+    an int64 sum, or a Python-int one where int64 could wrap.
+    """
 
     values: np.ndarray
     counts: np.ndarray
+    total: int = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -53,16 +59,22 @@ class EmpiricalDistribution:
         if counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         counts = counts.astype(np.int64, copy=False)
-        if np.any(counts <= 0):
+        repeated = counts.strides == (0,)  # one count, as unit counts are given
+        if (counts[0] if repeated else counts.min()) <= 0:
             raise ValueError("counts must be positive")
-        if counts.strides == (0,):
-            # one count repeated, as unit counts are given: kept as the
-            # read-only view, which takes no memory per sample
+        if repeated:
+            # kept as the read-only view, which takes no memory per sample
             counts.flags.writeable = False
+            total = int(counts[0]) * counts.size
         else:
             counts = _frozen_array(counts)
+            if counts.size * int(counts.max()) < 2**63:
+                total = int(counts.sum())
+            else:
+                total = sum(counts.tolist())
         object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "EmpiricalDistribution":
@@ -78,7 +90,7 @@ class EmpiricalDistribution:
     @property
     def weights(self) -> np.ndarray:
         """Probability of each support point, the counts over their exact total."""
-        return self.counts / float(_total(self.counts))
+        return self.counts / float(self.total)
 
     @property
     def support_min(self) -> float:
@@ -99,13 +111,6 @@ class EmpiricalDistribution:
 def _unit_counts(n: int) -> np.ndarray:
     """``n`` counts of one, as a read-only zero-stride view."""
     return np.broadcast_to(np.int64(1), n)
-
-
-def _total(counts: np.ndarray) -> int:
-    """Sum of positive int64 counts as a Python int, exact where int64 would wrap."""
-    if counts.size * int(counts.max()) < 2**63:
-        return int(counts.sum())
-    return sum(counts.tolist())
 
 
 # The float64 loop of ``>``, which casts the voxels in buffered chunks.

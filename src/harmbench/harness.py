@@ -254,10 +254,11 @@ class _SharedFiles:
     files when it starts, in column order, skipping any already
     submitted; so its files decode while it computes, and a file named by
     many rows is read once, from its spelling in the first row naming it.
-    Once a record's intensities are in hand, it reads ahead: the files
-    of the first record in manifest order not yet started are submitted
-    too, so they decode during this record's later stages. No record
-    further ahead is read, whatever the pool's size.
+    Right after its own, it submits those of the first record in manifest
+    order not yet started, which the pool's FIFO queue puts behind this
+    record's own: so the next record's files decode during this record's
+    later stages, and no record further ahead is read, whatever the
+    pool's size.
 
     Each use in the manifest is counted off once, when its record takes
     the product or ends; after the last, the product is dropped and its
@@ -293,17 +294,15 @@ class _SharedFiles:
                     yield (kind, os.path.realpath(path)), path
 
     def start(self, rec: TripletRecord) -> Counter:
-        """Submit the decodes of ``rec``'s products not yet submitted;
-        the uses ``rec`` has to count off, by product."""
+        """Submit the decodes of ``rec``'s products not yet submitted, then
+        those of the next record to start, if any; the uses ``rec`` has to
+        count off, by product."""
         with self._lock:
             self._started += 1
-            return self._submit(rec)
-
-    def read_ahead(self) -> None:
-        """Submit the decodes of the next record to start, if any."""
-        with self._lock:
+            owed = self._submit(rec)
             if self._started < len(self._records):
                 self._submit(self._records[self._started])
+            return owed
 
     def _submit(self, rec: TripletRecord) -> Counter:
         owed = Counter()
@@ -362,8 +361,6 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
         for path in (rec.input_path, rec.target_path, rec.pred_path):
             grid = _single_channel(files.take("grid", path, owed), path, rec.channel)
             dists.append(extract_foreground(grid, config.policy))
-        # the next record's files queue behind this one's gt and segmentations
-        files.read_ahead()
 
         reference = None
         if rec.gt_path:
@@ -399,9 +396,9 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
 
     A record submits the decodes of all its files when it starts, on a
     second pool of ``config.workers`` threads, and uses them in stage
-    order: intensities, gt metrics, W1, AP. Once its intensities are in
-    hand, it also submits those of the next record to start, so they
-    decode while it computes; at most that one record is read ahead.
+    order: intensities, gt metrics, W1, AP. It then submits those of the
+    next record to start, which queue behind its own and decode while it
+    computes; at most that one record is read ahead.
 
     Per-record failures land in the row status, the first failure in
     stage order ending the record. Raises

@@ -254,6 +254,13 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
         and max(-values.min(), values.max()) > np.finfo(np.float32).max
     ):
         raise IoFailure(f"{path}: values exceed the float32 range")
+    # float32 holds every integer up to 2**24 in magnitude, and not all past it
+    if (
+        values.dtype.kind in "iu"
+        and values.dtype.itemsize > 2
+        and (values.min() < -(2**24) or values.max() > 2**24)
+    ):
+        raise IoFailure(f"{path}: integers beyond ±2**24 would be rounded in float32")
 
     nx, ny, nz = grid.dims
     rank = 4 if grid.channel_count > 1 else 3

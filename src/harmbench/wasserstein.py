@@ -51,7 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distribution import EmpiricalDistribution, _total
+from .distribution import EmpiricalDistribution
 from .errors import DegenerateNormalizer
 
 DEFAULT_VERDICT_TOL = 0.05
@@ -63,16 +63,17 @@ def wasserstein_1d(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
 
     The sum of the segments ending at `a`'s breakpoints plus those ending
     at `b`'s, over the common denominator N_a·N_b (see the module
-    docstring). The int64 breakpoints need N_a·N_b < 2**63 (about 3·10⁹
-    samples each); larger totals raise ``ValueError``.
+    docstring), where N_a and N_b are the totals each distribution summed
+    once when it was made. The int64 breakpoints need N_a·N_b < 2**63
+    (about 3·10⁹ samples each); larger totals raise ``ValueError``.
     """
-    n_a, n_b = _total(a.counts), _total(b.counts)
+    n_a, n_b = a.total, b.total
     if n_a * n_b >= 2**63:
         raise ValueError(
             f"wasserstein_1d needs N_a·N_b < 2**63 for its int64 breakpoints, "
             f"got N_a={n_a}, N_b={n_b}"
         )
-    return (_side_sum(a, b, n_a, n_b) + _side_sum(b, a, n_b, n_a)) / (n_a * n_b)
+    return (_side_sum(a, b) + _side_sum(b, a)) / (n_a * n_b)
 
 
 # Breakpoints per block of a side sum. A block's arrays (its
@@ -101,9 +102,7 @@ def _pairwise(block, lo: int, hi: int) -> float:
     return _pairwise(block, lo, lo + half) + _pairwise(block, lo + half, hi)
 
 
-def _side_sum(
-    own: EmpiricalDistribution, other: EmpiricalDistribution, n_own: int, n_other: int
-) -> float:
+def _side_sum(own: EmpiricalDistribution, other: EmpiricalDistribution) -> float:
     """Width times quantile gap summed over the segments that end at one of
     `own`'s breakpoints, the segments shared with `other` at half weight.
 
@@ -124,6 +123,7 @@ def _side_sum(
     other cores and whose partial sums would add up in an order that
     depends on the thread count.
     """
+    n_own, n_other = own.total, other.total
     own_unit = own.n == n_own
     if other.n == n_other:
         bounds = None

@@ -91,6 +91,9 @@ def test_distribution_invariants_enforced():
         EmpiricalDistribution([1.0, np.nan, 2.0], [1, 1, 1])  # NaN compares as in order
     with pytest.raises(ValueError, match="positive"):
         EmpiricalDistribution([1.0, 2.0], [1, 0])  # zero count
+    for count in (0, -1):  # one count repeated, checked once
+        with pytest.raises(ValueError, match="positive"):
+            EmpiricalDistribution([1.0, 2.0], np.broadcast_to(np.int64(count), 2))
     with pytest.raises(ValueError, match="integers"):
         EmpiricalDistribution([1.0, 2.0], [0.5, 0.5])  # float counts
     with pytest.raises(ValueError, match="equal length"):
@@ -102,6 +105,7 @@ def test_distribution_invariants_enforced():
 def test_weights_exact_where_the_int64_total_wraps():
     # 2**62 + 2**62 is 2**63, one past the int64 maximum
     d = EmpiricalDistribution([0.0, 1.0], [2**62, 2**62])
+    assert d.total == 2**63
     np.testing.assert_array_equal(d.weights, [0.5, 0.5])
 
 
@@ -148,6 +152,8 @@ def test_unit_counts_are_one_zero_stride_view():
     ones = EmpiricalDistribution(dist.values, np.ones(dist.n, dtype=np.int64))
     other_ones = EmpiricalDistribution(other.values, np.ones(other.n, dtype=np.int64))
     assert ones.counts.strides == (8,)
+    for d in (dist, other, ones, other_ones):
+        assert type(d.total) is int and d.total == d.n
     assert dist == ones
     np.testing.assert_array_equal(dist.weights, ones.weights)
     for a, b, a1, b1 in ((dist, other, ones, other_ones), (other, dist, other_ones, ones)):
@@ -161,7 +167,7 @@ def test_repeated_count_view_takes_the_counted_path_unchanged():
     view = EmpiricalDistribution(values, twos)
     full = EmpiricalDistribution(values, np.full(40, 2, dtype=np.int64))
     assert view.counts.strides == (0,) and not view.counts.flags.writeable
-    assert view == full
+    assert view == full and view.total == full.total == 80
     np.testing.assert_array_equal(view.weights, full.weights)
     other = EmpiricalDistribution.from_samples(rng.uniform(0.5, 1.5, 70))
     assert wasserstein_1d(view, other).hex() == wasserstein_1d(full, other).hex()

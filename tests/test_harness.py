@@ -1,4 +1,5 @@
 """Manifest ingestion, batch evaluation, summaries, and reports."""
+import itertools
 import json
 import math
 import os
@@ -558,6 +559,10 @@ def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, wor
     assert log.events.index(("start", "r1")) < first_r2_load
     assert max(map(len, log.ahead)) == 1  # one record ahead at most
     assert set(log.loads().values()) == {1} and len(log.loads()) == 4 * 6
+    if workers == 1:  # on one decode thread, each record's files queue behind the last one's
+        columns = ("in", "tg", "pr", "gt", "seg_in", "seg_pr")
+        loads = [name for kind, name in log.events if kind == "load"]
+        assert loads == [f"r{i}_{column}.nii" for i in range(4) for column in columns]
 
 
 def _counted_loads(monkeypatch):
@@ -588,19 +593,53 @@ def test_read_ahead_reads_each_own_file_once_under_thread_switches(tiny_dataset,
 
 
 def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monkeypatch):
-    # two records can start out of order: here record 1 starts first, so
-    # its own read-ahead still takes it for the next record to start
+    # records can start out of order: here record 2 starts and ends first,
+    # so record 1, starting next, still takes it for the next to start
     base, _ = tiny_dataset
-    records = load_manifest(_own_files_rows(base, 2))
+    records = load_manifest(_own_files_rows(base, 3))
     loads = _counted_loads(monkeypatch)
     with ThreadPoolExecutor(1) as pool:
         files = harness._SharedFiles(records, EvalConfig(), pool)
+        owed = files.start(records[2])
+        files.take("grid", records[2].input_path, owed)
+        files.count_off(+owed)
         owed = files.start(records[1])
-        files.take("grid", records[1].input_path, owed)
-        files.read_ahead()
+        assert not [key for key in files._made if os.path.basename(key[1]).startswith("r2_")]
         files.count_off(+owed)
         assert not files._made
-    assert loads["r1_in.nii"] == 1
+    assert loads["r2_in.nii"] == 1
+
+
+def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dataset, monkeypatch):
+    # such a row's own files are all decoded before its prediction's
+    # foreground is out: the next row's input decodes during that extraction
+    base, _ = tiny_dataset
+    lines = [MANIFEST_HEADER]
+    for i in range(2):
+        for name, source in (("in", "a"), ("tg", "b"), ("pr", "a")):
+            shutil.copy(base / f"{source}.nii", base / f"r{i}_{name}.nii")
+        lines.append(f"r{i},r{i}_in.nii,r{i}_tg.nii,r{i}_pr.nii,,,,A,B,")
+    (base / "m.csv").write_text("\n".join(lines) + "\n")
+    records = load_manifest(base / "m.csv")
+    next_input_loaded, loaded_in_time, calls = threading.Event(), [], itertools.count(1)
+    load, extract = harness.load_volume, harness.extract_foreground
+
+    def noted_load(path):
+        grid = load(path)
+        if path.name == "r1_in.nii":
+            next_input_loaded.set()
+        return grid
+
+    def waiting_extract(grid, policy):
+        if next(calls) == 3:  # record 0's prediction, on the one worker
+            loaded_in_time.append(next_input_loaded.wait(5))
+        return extract(grid, policy)
+
+    monkeypatch.setattr(harness, "load_volume", noted_load)
+    monkeypatch.setattr(harness, "extract_foreground", waiting_extract)
+    rows = evaluate_all(records, EvalConfig(workers=1))
+    assert all(r.ok for r in rows)
+    assert loaded_in_time == [True]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

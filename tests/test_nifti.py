@@ -473,6 +473,27 @@ def test_write_rejects_float32_overflow(tmp_path, value):
         write_volume(grid, tmp_path / "x.nii")
 
 
+@pytest.mark.parametrize(
+    "dtype, beyond",
+    [(np.int32, 2**24 + 1), (np.int32, -(2**24) - 1), (np.int64, -(2**40)),
+     (np.uint32, 2**24 + 1), (np.uint64, 2**63)],
+)
+def test_write_rejects_integers_float32_would_round(tmp_path, dtype, beyond):
+    # float32(16777217) is 16777216: the file would not hold the grid
+    path = tmp_path / "x.nii"
+    grid = VoxelGrid((2, 1, 1), (1, 1, 1), np.array([0, beyond], dtype=dtype))
+    with pytest.raises(IoFailure, match="x.nii"):
+        write_volume(grid, path)
+    assert not path.exists()
+
+
+def test_write_keeps_integers_up_to_two_to_the_24(tmp_path):
+    values = np.array([-(2**24), 0, 2**24 - 1, 2**24], dtype=np.int32)
+    grid = VoxelGrid((4, 1, 1), (1, 1, 1), values)
+    write_volume(grid, tmp_path / "x.nii")
+    assert load_volume(tmp_path / "x.nii") == grid
+
+
 def test_integer_grid_writes_its_extremes_without_warnings(tmp_path):
     values = np.array([-32768, 0, 32767, 7], dtype=np.int16)
     grid = VoxelGrid((4, 1, 1), (1, 1, 1), values)
