@@ -37,7 +37,7 @@ _EXTRA_ROWS = (
 )
 
 
-def _tissue(rng, low: float, high: float, shape=(_EDGE,) * 3) -> np.ndarray:
+def _voxels(rng, low: float, high: float, shape=(_EDGE,) * 3) -> np.ndarray:
     """A quarter of the voxels background zero, the rest uniform in [low, high)."""
     values = rng.uniform(low, high, shape)
     values.reshape(-1)[: values.size // 4] = 0.0
@@ -59,17 +59,17 @@ def build_dataset(out: Path) -> None:
     """Write the dataset into ``out``, which must not exist yet."""
     _run(["synth", "--out", str(out), "--sites", "3", "--n", "4", "--size", "128", "--seed", "7"])
     rng = np.random.default_rng(7)
-    int16_in = np.rint(_tissue(rng, 20, 900))
+    int16_in = np.rint(_voxels(rng, 20, 900))
     files = {
         "int16_in.nii": build_nifti(int16_in, datatype=4),
         "int16_pr.nii": build_nifti(np.rint(int16_in * 1.5), datatype=4),
-        "float_tg.nii": build_nifti(_tissue(rng, 100, 2000)),
-        "float_pr.nii": build_nifti(_tissue(rng, 90, 1800)),
-        "be_in.nii.gz": build_nifti(_tissue(rng, 5, 60), byte_order=">", gzipped=True),
-        "bad_magic_pr.nii": build_nifti(_tissue(rng, 1, 2), magic=b"nx1\x00"),
+        "float_tg.nii": build_nifti(_voxels(rng, 100, 2000)),
+        "float_pr.nii": build_nifti(_voxels(rng, 90, 1800)),
+        "be_in.nii.gz": build_nifti(_voxels(rng, 5, 60), byte_order=">", gzipped=True),
+        "bad_magic_pr.nii": build_nifti(_voxels(rng, 1, 2), magic=b"nx1\x00"),
     }
     for name, (low, high) in (("in", (1, 50)), ("tg", (30, 300)), ("pr", (25, 280))):
-        four_d = _tissue(rng, low, high, (_EDGE,) * 3 + (2,))
+        four_d = _voxels(rng, low, high, (_EDGE,) * 3 + (2,))
         files[f"four_d_{name}.nii"] = build_nifti(four_d, dim=(4, _EDGE, _EDGE, _EDGE, 2))
     for name, blob in files.items():
         (out / name).write_bytes(blob)
