@@ -248,33 +248,53 @@ def load_segmentation(path: Path, config: EvalConfig) -> LabelVolume:
 class _SharedFiles:
     """One run's decodes of the files its manifest names.
 
-    What a record takes from a file is a product: the loaded grid for an
-    intensity column, the label volume for a ``seg_*`` column. Each is a
-    future on the run's decode pool. A record submits the decodes of its
-    files when it starts, in column order, skipping any already
-    submitted; so its files decode while it computes, and a file named by
-    many rows is read once, from its spelling in the first row naming it.
-    Right after its own, it submits those of the first record in manifest
-    order not yet started, which the pool's FIFO queue puts behind this
-    record's own: so the next record's files decode during this record's
-    later stages, and no record further ahead is read, whatever the
-    pool's size.
+    What a record takes from a file is a product, made once per run from
+    the file's spelling in the first row naming it:
+
+    * ``("fg", path)``, an intensity file's foregrounds: one entry per
+      channel the manifest asks of the file (``None`` for a 3-D row),
+      each the distribution or the error of selecting that channel and
+      extracting it. The grid is dropped once they are made.
+    * ``("grid", path)``, the grid of a file the gt metrics read (a gt,
+      or the prediction of a row with gt), for every row naming it; such
+      a row selects its channel and extracts its foreground itself.
+    * ``("seg", path)``, the label volume of a ``seg_*`` column.
+
+    Each product is one future, made by whichever thread claims it
+    first. A record submits, when it starts, a decode of each of its
+    products not yet submitted, in column order, then of those of the
+    first record in manifest order not yet started; the pool's FIFO
+    queue puts the latter behind the record's own, so the next record's
+    files decode during this record's later stages, and no record
+    further ahead is read, whatever the pool's size. A record about to
+    wait on a product still being made makes its own products no thread
+    has claimed instead (never the next record's), so at one worker two
+    threads decode.
 
     Each use in the manifest is counted off once, when its record takes
     the product or ends; after the last, the product is dropped and its
-    decode cancelled if not started. A failure is kept and raised to
-    every use, so they all get the same status.
+    decode cancelled if not started. A failure is kept without its frames
+    and raised to every use, so they all get the same status.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
         self._config = config
         self._pool = pool
+        # files the gt metrics read, which stay grids for every row naming them
+        self._grids = {
+            os.path.realpath(path)
+            for rec in records if rec.gt_path is not None
+            for path in (rec.pred_path, rec.gt_path)
+        }
         self._path: dict[tuple[str, str], Path] = {}
+        self._channels: dict[tuple[str, str], dict[int | None, None]] = {}
         self._left = Counter()  # uses of each product not yet counted off
         for rec in records:
             for key, path in self._named(rec):
                 self._left[key] += 1
                 self._path.setdefault(key, path)
+                if key[0] == "fg":
+                    self._channels.setdefault(key, {})[rec.channel] = None
         self._made: dict[tuple[str, str], Future] = {}
         self._records = records
         # records started so far; the pool starts them in manifest order,
@@ -282,16 +302,18 @@ class _SharedFiles:
         self._started = 0
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _named(rec: TripletRecord):
+    def kind(self, path: Path) -> str:
+        """The kind of product of the intensity file ``path``: "grid" or "fg"."""
+        return "grid" if os.path.realpath(path) in self._grids else "fg"
+
+    def _named(self, rec: TripletRecord):
         """((kind, resolved path), path) of every file ``rec`` names, in column order."""
-        for kind, paths in (
-            ("grid", (rec.input_path, rec.target_path, rec.pred_path, rec.gt_path)),
-            ("seg", (rec.seg_input_path, rec.seg_pred_path)),
-        ):
-            for path in paths:
-                if path is not None:
-                    yield (kind, os.path.realpath(path)), path
+        for path in (rec.input_path, rec.target_path, rec.pred_path, rec.gt_path):
+            if path is not None:
+                yield (self.kind(path), os.path.realpath(path)), path
+        for path in (rec.seg_input_path, rec.seg_pred_path):
+            if path is not None:
+                yield ("seg", os.path.realpath(path)), path
 
     def start(self, rec: TripletRecord) -> Counter:
         """Submit the decodes of ``rec``'s products not yet submitted, then
@@ -311,26 +333,58 @@ class _SharedFiles:
             # a product whose uses are all counted off is not made again: the
             # next record to start may have started out of order and taken it
             if key in self._left and key not in self._made:
-                self._made[key] = self._pool.submit(self._make, key[0], self._path[key])
+                self._made[key] = Future()
+                self._pool.submit(self._make, key)
         return owed
 
-    def _make(self, kind: str, path: Path):
+    def _make(self, key: tuple[str, str]) -> bool:
+        """Make ``key``'s product unless a thread has claimed it or it was
+        dropped; whether this call made it."""
+        with self._lock:
+            future = self._made.get(key)
+            if future is None or future.running() or future.done():
+                return False
+            future.set_running_or_notify_cancel()
         try:
-            if kind == "seg":
-                return load_segmentation(path, self._config)
-            return load_volume(path)
+            future.set_result(self._decode(key))
         except _RECORD_ERRORS as exc:
-            # Kept without its frames or its causes', which hold the file's bytes.
-            cause = exc
-            while cause is not None and cause.__traceback__ is not None:
-                cause = cause.with_traceback(None).__cause__ or cause.__context__
-            raise exc
+            future.set_exception(_without_frames(exc))
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+        return True
 
-    def take(self, kind: str, path: Path, owed: Counter):
-        """The product, once decoded, counting off one of the uses in ``owed``."""
+    def _decode(self, key: tuple[str, str]):
+        kind, path = key[0], self._path[key]
+        if kind == "seg":
+            return load_segmentation(path, self._config)
+        grid = load_volume(path)
+        if kind == "grid":
+            return grid
+        foregrounds = {}
+        for channel in self._channels[key]:
+            try:
+                foregrounds[channel] = extract_foreground(
+                    _single_channel(grid, path, channel), self._config.policy
+                )
+            except _RECORD_ERRORS as exc:
+                foregrounds[channel] = _without_frames(exc)
+        return foregrounds
+
+    def take(self, kind: str, path: Path, owed: Counter, channel: int | None = None):
+        """The product, once made, counting off one of the uses in ``owed``;
+        of an "fg" product, the foreground of ``channel``.
+
+        While the product is being made, the record makes the first of its
+        own products in ``owed`` that no thread has claimed, in column
+        order, and so on until the product is done or none is left.
+        """
         key = (kind, os.path.realpath(path))
+        future = self._made[key]
         try:
-            return self._made[key].result()
+            while not future.done() and self._make_own(owed):
+                pass
+            product = future.result()
         except _RECORD_ERRORS as exc:
             # A copy each time: raising one instance again and again would
             # chain every record's frames onto its traceback.
@@ -338,6 +392,16 @@ class _SharedFiles:
         finally:
             owed[key] -= 1
             self.count_off({key: 1})
+        if kind == "fg":
+            product = product[channel]
+            if isinstance(product, Exception):
+                raise copy.copy(product) from None
+        return product
+
+    def _make_own(self, owed: Counter) -> bool:
+        """Make the first product the record still owes a use of that no
+        thread has claimed; whether there was one."""
+        return any(n and self._make(key) for key, n in owed.items())
 
     def count_off(self, uses: dict[tuple[str, str], int]) -> None:
         """Count off ``uses``, dropping each product after its last use."""
@@ -348,19 +412,32 @@ class _SharedFiles:
                     del self._left[key]
                     future = self._made.pop(key, None)
                     if future is not None:
-                        future.cancel()  # a no-op once the decode started
+                        future.cancel()  # a no-op once its decode started
+
+
+def _without_frames(exc: BaseException) -> BaseException:
+    """``exc``, without its frames or its causes', which hold the file's bytes."""
+    cause = exc
+    while cause is not None and cause.__traceback__ is not None:
+        cause = cause.with_traceback(None).__cause__ or cause.__context__
+    return exc
 
 
 def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles) -> EvaluationRow:
     key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
     owed = files.start(rec)
     try:
-        # Each grid is dropped once its foreground is out, but for the
-        # prediction, which the gt metrics read first.
-        dists = []
+        # A foreground is made where its file decodes, but from a grid the
+        # gt metrics read, which is extracted here; the prediction's grid
+        # is kept for the gt metrics.
+        dists, grid = [], None
         for path in (rec.input_path, rec.target_path, rec.pred_path):
-            grid = _single_channel(files.take("grid", path, owed), path, rec.channel)
-            dists.append(extract_foreground(grid, config.policy))
+            kind = files.kind(path)
+            product = files.take(kind, path, owed, rec.channel)
+            if kind == "grid":
+                grid = _single_channel(product, path, rec.channel)
+                product = extract_foreground(grid, config.policy)
+            dists.append(product)
 
         reference = None
         if rec.gt_path:
@@ -398,7 +475,10 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     second pool of ``config.workers`` threads, and uses them in stage
     order: intensities, gt metrics, W1, AP. It then submits those of the
     next record to start, which queue behind its own and decode while it
-    computes; at most that one record is read ahead.
+    computes; at most that one record is read ahead. A decode of an
+    intensity file also extracts its foregrounds, unless the gt metrics
+    read the file. A record that would wait on a decode makes its own
+    decodes not yet started instead, so at one worker two threads decode.
 
     Per-record failures land in the row status, the first failure in
     stage order ending the record. Raises

@@ -180,14 +180,29 @@ class LabelVolume:
 # gigabytes, so such a volume is counted by np.unique's sort instead.
 _BINCOUNT_MIN_TABLE = 2 ** 16
 
+# Voxels bincount takes at a time: it widens its input to intp, eight
+# bytes a voxel, so whole it would copy a uint8 segmentation eightfold.
+_COUNT_BLOCK = 2 ** 16
+
 
 def _count_labels(labels: np.ndarray) -> dict[int, int]:
-    """Voxel count of every nonzero label in ``labels``, ascending by label."""
+    """Voxel count of every nonzero label in ``labels``, ascending by label.
+
+    Labels are bincounted in blocks of ``_COUNT_BLOCK`` voxels, or of the
+    table's length where that is longer, so neither the widened copy nor
+    the work of one block's table outgrows the block.
+    """
     if labels.min() < 0:
         raise ValueError("labels must be nonnegative")
-    if int(labels.max()) < max(labels.size, _BINCOUNT_MIN_TABLE):
-        # background is most of a segmentation; counting it would be most of the work
-        counts = np.bincount(labels[labels != 0])
+    top = int(labels.max())
+    if top < max(labels.size, _BINCOUNT_MIN_TABLE):
+        counts = np.zeros(top + 1, np.int64)
+        step = max(_COUNT_BLOCK, top + 1)
+        for start in range(0, labels.size, step):
+            block = labels[start : start + step]
+            # background is most of a segmentation; counting it would be most of the work
+            part = np.bincount(block[block != 0])
+            counts[: part.size] += part
         present = np.flatnonzero(counts)
         return dict(zip(present.tolist(), counts[present].tolist()))
     present, counts = np.unique(labels, return_counts=True)

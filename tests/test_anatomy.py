@@ -1,4 +1,5 @@
 """Structure volumetry and the anatomy preservation score."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from harmbench.anatomy import (
     structure_volumes,
 )
 from harmbench.errors import NoCommonStructures, ZeroInputVolume
-from harmbench.volume import LabelVolume, VoxelGrid, _count_labels
+from harmbench.volume import _COUNT_BLOCK, LabelVolume, VoxelGrid, _count_labels
 
 from oracles import label_counts_direct
 
@@ -207,6 +208,35 @@ def test_count_labels_matches_unique_oracle_on_mostly_background(values, backgro
     labels[0] = -1
     with pytest.raises(ValueError, match="nonnegative"):
         _count_labels(labels)
+
+
+@pytest.mark.parametrize("size", [_COUNT_BLOCK - 1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 3 * _COUNT_BLOCK + 5])
+@pytest.mark.parametrize("top", [7, 300, 2 * _COUNT_BLOCK])
+def test_count_labels_across_block_edges_matches_unique_oracle(size, top):
+    # a table longer than a block makes the blocks that long
+    rng = np.random.default_rng(size + top)
+    labels = rng.integers(0, top + 1, size).astype(np.uint8 if top < 256 else np.int32)
+    labels[rng.random(size) < 0.6] = 0
+    labels[-1] = top
+    present, counts = np.unique(labels, return_counts=True)
+    expected = {int(v): int(c) for v, c in zip(present, counts) if v != 0}
+    assert _count_labels(labels) == expected
+    assert list(_count_labels(labels)) == sorted(expected)
+
+
+def test_count_labels_peak_memory_is_a_few_blocks():
+    # bincount widens its input to intp: over the whole of a dense 160^3
+    # uint8 segmentation that copy alone would be eight bytes a voxel
+    labels = np.random.default_rng(9).integers(0, 5, 160 ** 3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        counts = _count_labels(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == np.count_nonzero(labels)
+    block_bytes = _COUNT_BLOCK * 8
+    assert peak < 4 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
 
 def test_huge_sparse_label_counted_without_a_table_that_large():

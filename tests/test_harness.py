@@ -17,6 +17,7 @@ import pytest
 from harmbench.errors import (
     DegenerateNormalizer,
     DuplicateId,
+    EmptyForeground,
     MalformedHeader,
     MissingColumn,
     NoSuccessfulRows,
@@ -443,6 +444,52 @@ def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch)
 
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_foregrounds_of_shared_files_are_extracted_once(tiny_dataset, monkeypatch, workers):
+    # one input and target pair with a prediction per row: each file loads
+    # once, and each file's foreground is extracted once, where it decodes
+    base, _ = tiny_dataset
+    rows = 4
+    lines = [MANIFEST_HEADER]
+    for i in range(rows):
+        shutil.copy(base / ("a.nii" if i % 2 else "b.nii"), base / f"p{i}.nii")
+        lines.append(f"r{i},a.nii,b.nii,p{i}.nii,,,,A,B,")
+    (base / "m.csv").write_text("\n".join(lines) + "\n")
+    loads = _counted_loads(monkeypatch)
+    extractions = []
+    extract = harness.extract_foreground
+
+    def counted_extract(grid, policy):
+        extractions.append(grid.dims)
+        return extract(grid, policy)
+
+    monkeypatch.setattr(harness, "extract_foreground", counted_extract)
+    result = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    assert all(r.ok for r in result)
+    assert loads == {"a.nii": 1, "b.nii": 1, **{f"p{i}.nii": 1 for i in range(rows)}}
+    assert len(extractions) == rows + 2
+
+
+def test_bad_channel_of_a_shared_file_fails_only_its_row(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    dims, channels = (6, 6, 6), 3
+    values = rng.uniform(1, 5, 6 ** 3 * channels)
+    write_volume(VoxelGrid(dims, (1, 1, 1), values, channel_count=channels), tmp_path / "in.nii")
+    write_volume(VoxelGrid(dims, (1, 1, 1), values * 2, channel_count=channels), tmp_path / "tg.nii")
+    (tmp_path / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        + "".join(f"x,in.nii,tg.nii,in.nii,,,,A,B,{c}\n" for c in (0, 5, 1, 2))
+    )
+    loads = _counted_loads(monkeypatch)
+    for workers in (1, 3):
+        loads.clear()
+        rows = evaluate_all(load_manifest(tmp_path / "m.csv"), EvalConfig(workers=workers))
+        assert [r.ok for r in rows] == [True, False, True, True]
+        assert rows[1].status == "error: ValueError: channel 5 out of range for 3-channel grid"
+        assert len({r.wd.wd_it for r in rows if r.ok}) == channels
+        assert loads == {"in.nii": 1, "tg.nii": 1}
+
+
 def _own_files_manifest(base, gt):
     """One row whose every column names its own copy of a tiny_dataset file."""
     for name, source in (("in", "a"), ("tg", "b"), ("pr", "a"), ("gt", "a")):
@@ -500,15 +547,19 @@ def _own_files_rows(base, rows, same_input_target=()):
 class _ReadAheadLog:
     """Patches the harness to log, in one list, each record's start and
     each file's load. At each load it notes the records not yet started
-    that have decodes submitted. Each record's W1 waits (bounded) for the
-    input of each of the next ``workers`` records that exist to load, so
-    no worker starts a record before its read-ahead loads are logged;
-    record 0's W1 then notes the loads done so far."""
+    that have decodes submitted, and the record whose thread loads the
+    file (None on a decode thread); it also logs the products a decode
+    thread takes up, made or not, in its order. Each record's W1 waits
+    (bounded) for the input of each of the next ``workers`` records that
+    exist to load, so no worker starts a record before its read-ahead
+    loads are logged; record 0's W1 then notes the loads done so far."""
 
     def __init__(self, monkeypatch, workers):
         self.events, self.loads_at_w1, self.ahead = [], None, []
+        self.loaded_by, self.taken_up = [], []
         self._loaded, self._local = {}, threading.local()
         load, w1, evaluate = harness.load_volume, harness.nwd, harness._evaluate_record
+        make = harness._SharedFiles._make
 
         def loaded(name):
             return self._loaded.setdefault(name, threading.Event())
@@ -518,9 +569,15 @@ class _ReadAheadLog:
                 submitted = {os.path.basename(key[1]).split("_")[0] for key in self._files._made}
             self.ahead.append(submitted - {name for kind, name in self.events if kind == "start"})
             self.events.append(("load", path.name))
+            self.loaded_by.append((path.name, getattr(self._local, "id", None)))
             grid = load(path)
             loaded(path.name).set()
             return grid
+
+        def logged_make(files, key):
+            if not hasattr(self._local, "id"):
+                self.taken_up.append(os.path.basename(key[1]))
+            return make(files, key)
 
         def logged_nwd(*dists):
             index = int(self._local.id[1:])
@@ -539,9 +596,14 @@ class _ReadAheadLog:
         monkeypatch.setattr(harness, "load_volume", logged_load)
         monkeypatch.setattr(harness, "nwd", logged_nwd)
         monkeypatch.setattr(harness, "_evaluate_record", logged_evaluate)
+        monkeypatch.setattr(harness._SharedFiles, "_make", logged_make)
 
     def loads(self):
         return Counter(name for kind, name in self.events if kind == "load")
+
+    def made_by_other_records(self):
+        """The loads a record's thread made of another record's files."""
+        return [(name, rec) for name, rec in self.loaded_by if rec is not None and not name.startswith(rec + "_")]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -559,10 +621,11 @@ def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, wor
     assert log.events.index(("start", "r1")) < first_r2_load
     assert max(map(len, log.ahead)) == 1  # one record ahead at most
     assert set(log.loads().values()) == {1} and len(log.loads()) == 4 * 6
+    # a record waiting on a file makes only its own files
+    assert not log.made_by_other_records()
     if workers == 1:  # on one decode thread, each record's files queue behind the last one's
         columns = ("in", "tg", "pr", "gt", "seg_in", "seg_pr")
-        loads = [name for kind, name in log.events if kind == "load"]
-        assert loads == [f"r{i}_{column}.nii" for i in range(4) for column in columns]
+        assert log.taken_up == [f"r{i}_{column}.nii" for i in range(4) for column in columns]
 
 
 def _counted_loads(monkeypatch):
@@ -601,7 +664,7 @@ def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monk
     with ThreadPoolExecutor(1) as pool:
         files = harness._SharedFiles(records, EvalConfig(), pool)
         owed = files.start(records[2])
-        files.take("grid", records[2].input_path, owed)
+        files.take("fg", records[2].input_path, owed)
         files.count_off(+owed)
         owed = files.start(records[1])
         assert not [key for key in files._made if os.path.basename(key[1]).startswith("r2_")]
@@ -611,8 +674,8 @@ def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monk
 
 
 def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dataset, monkeypatch):
-    # such a row's own files are all decoded before its prediction's
-    # foreground is out: the next row's input decodes during that extraction
+    # such a row's own files are all decoded before its W1: the next row's
+    # input decodes during it
     base, _ = tiny_dataset
     lines = [MANIFEST_HEADER]
     for i in range(2):
@@ -622,7 +685,7 @@ def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dat
     (base / "m.csv").write_text("\n".join(lines) + "\n")
     records = load_manifest(base / "m.csv")
     next_input_loaded, loaded_in_time, calls = threading.Event(), [], itertools.count(1)
-    load, extract = harness.load_volume, harness.extract_foreground
+    load, w1 = harness.load_volume, harness.nwd
 
     def noted_load(path):
         grid = load(path)
@@ -630,13 +693,13 @@ def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dat
             next_input_loaded.set()
         return grid
 
-    def waiting_extract(grid, policy):
-        if next(calls) == 3:  # record 0's prediction, on the one worker
+    def waiting_nwd(*dists):
+        if next(calls) == 1:  # record 0's, on the one worker
             loaded_in_time.append(next_input_loaded.wait(5))
-        return extract(grid, policy)
+        return w1(*dists)
 
     monkeypatch.setattr(harness, "load_volume", noted_load)
-    monkeypatch.setattr(harness, "extract_foreground", waiting_extract)
+    monkeypatch.setattr(harness, "nwd", waiting_nwd)
     rows = evaluate_all(records, EvalConfig(workers=1))
     assert all(r.ok for r in rows)
     assert loaded_in_time == [True]
@@ -653,6 +716,102 @@ def test_failed_record_keeps_the_next_records_read_ahead(tiny_dataset, monkeypat
     # record 1's input was read ahead before record 0 failed, and not read again
     assert "r1_in.nii" in log.loads_at_w1
     assert all(log.loads()[f"r1_{name}.nii"] == 1 for name in ("in", "tg", "pr", "gt", "seg_in", "seg_pr"))
+
+
+class _LoadWaitsForAnother:
+    """Patches the harness so the load of file ``first`` waits (bounded)
+    until file ``then`` starts loading on another thread, and no record
+    takes a product before ``first`` starts loading, so a decode thread,
+    not a record, has ``first``. Notes whether each wait ended in time,
+    the threads that loaded ``then``, and the records' threads."""
+
+    def __init__(self, monkeypatch, first, then):
+        self.in_time, self.then_threads, self.record_threads = [], [], set()
+        first_loading, then_loading = threading.Event(), threading.Event()
+        load, evaluate, take = harness.load_volume, harness._evaluate_record, harness._SharedFiles.take
+
+        def gated_load(path):
+            if path.name == first:
+                first_loading.set()
+                self.in_time.append(then_loading.wait(5))
+            if path.name == then:
+                self.then_threads.append(threading.get_ident())
+                then_loading.set()
+            return load(path)
+
+        def noted_evaluate(rec, config, files):
+            self.record_threads.add(threading.get_ident())
+            return evaluate(rec, config, files)
+
+        def take_once_first_loads(files, *args, **kwargs):
+            first_loading.wait(5)
+            return take(files, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_volume", gated_load)
+        monkeypatch.setattr(harness, "_evaluate_record", noted_evaluate)
+        monkeypatch.setattr(harness._SharedFiles, "take", take_once_first_loads)
+
+
+def test_a_waiting_record_makes_its_own_queued_file(tiny_dataset, monkeypatch):
+    # at one worker, the decode thread's load of the input waits until the
+    # target loads on another thread: the record, waiting on its input,
+    # loads its target itself
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 1))
+    gate = _LoadWaitsForAnother(monkeypatch, "r0_in.nii", "r0_tg.nii")
+    (row,) = evaluate_all(records, EvalConfig(workers=1))
+    assert row.ok
+    assert gate.in_time == [True]
+    assert gate.then_threads == list(gate.record_threads)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failed_file_made_by_a_waiting_record_fails_every_row_naming_it_alike(tiny_dataset, monkeypatch, workers):
+    base, _ = tiny_dataset
+    (base / "bad.nii").write_bytes(b"not a nifti file")
+    for name in ("in0", "in1", "in2"):
+        shutil.copy(base / "a.nii", base / f"{name}.nii")
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,in0.nii,bad.nii,a.nii,,,,A,B,\n"
+        "r1,in1.nii,b.nii,bad.nii,,,,A,B,\n"
+        "r2,in2.nii,bad.nii,b.nii,,,,A,B,\n"
+        "r3,a.nii,b.nii,a.nii,,,,A,B,\n"
+    )
+    gate = _LoadWaitsForAnother(monkeypatch, "in0.nii", "bad.nii")
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    assert [r.ok for r in rows] == [False, False, False, True]
+    assert rows[0].status.startswith("error: MalformedHeader: ") and "bad.nii" in rows[0].status
+    assert rows[0].status == rows[1].status == rows[2].status
+    assert len(gate.then_threads) == 1
+    if workers == 1:  # the record waiting on in0.nii made bad.nii
+        assert gate.in_time == [True] and set(gate.then_threads) <= gate.record_threads
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_rows_waiting_on_a_shared_file_never_see_it_cancelled(tiny_dataset, monkeypatch, workers):
+    # every row shares its input and segmentation with the others: a record
+    # that makes a file it or another row waits on must leave no row holding
+    # a future that is cancelled or never done
+    base, _ = tiny_dataset
+    lines = [MANIFEST_HEADER]
+    for i in range(16):
+        shutil.copy(base / "b.nii", base / f"t{i}.nii")
+        shutil.copy(base / ("a.nii" if i % 2 else "b.nii"), base / f"p{i}.nii")
+        lines.append(f"r{i},a.nii,t{i}.nii,p{i}.nii,,seg.nii,seg.nii,A,B,")
+    (base / "m.csv").write_text("\n".join(lines) + "\n")
+    records = load_manifest(base / "m.csv")
+    loads = _counted_loads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches inside every take
+    try:
+        for _ in range(5):  # each run interleaves its threads anew
+            loads.clear()
+            rows = evaluate_all(records, EvalConfig(workers=workers))
+            assert all(r.ok for r in rows)
+            assert len(loads) == 2 + 2 * 16 and set(loads.values()) == {1}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _failure_chain_sources(exc):
@@ -682,7 +841,7 @@ def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_datase
         (product,) = (key for key in owed if key[1].endswith("bad.nii.gz"))
         kept = files._made[product].exception()  # r1's use keeps the product
         with pytest.raises(MalformedHeader) as raised:
-            files.take("grid", base / "bad.nii.gz", owed)
+            files.take("fg", base / "bad.nii.gz", owed)
     assert isinstance(kept, MalformedHeader)
     assert raised.value is not kept and str(raised.value) == str(kept)
     # no frame from harmbench/nifti.py, whose locals hold the file's bytes
@@ -690,11 +849,33 @@ def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_datase
     assert sources and load_volume.__code__.co_filename not in sources
 
 
+def test_failed_foreground_is_kept_without_the_frames_holding_its_grid(tiny_dataset):
+    base, _ = tiny_dataset
+    _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,zero.nii,b.nii,a.nii,,,,A,B,\n"
+        "r1,zero.nii,b.nii,b.nii,,,,A,B,\n"
+    )
+    records = load_manifest(base / "m.csv")
+    with ThreadPoolExecutor(1) as pool:
+        files = harness._SharedFiles(records, EvalConfig(), pool)
+        owed = files.start(records[0])
+        (product,) = (key for key in owed if key[1].endswith("zero.nii"))
+        kept = files._made[product].result()[None]  # r1's use keeps the product
+        with pytest.raises(EmptyForeground) as raised:
+            files.take("fg", base / "zero.nii", owed)
+    assert isinstance(kept, EmptyForeground)
+    assert raised.value is not kept and str(raised.value) == str(kept)
+    # no frame at all: extract_foreground's locals hold the file's grid
+    assert not _failure_chain_sources(kept)
+
+
 def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch):
     base, _ = tiny_dataset
     records = load_manifest(_own_files_manifest(base, gt=True))
     loads, started = [], threading.Event()
-    load = harness.load_volume
+    load, start = harness.load_volume, harness._SharedFiles.start
 
     def slow_load(path):
         loads.append(path.name)
@@ -703,11 +884,19 @@ def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch
             time.sleep(0.5)  # holds the one decode thread while the record fails
         return load(path)
 
+    def start_then_wait(files, rec):
+        owed = start(files, rec)
+        # the decode thread reaches seg_in before the record takes a file,
+        # so the record never waits, and makes none of its own files
+        started.wait(5)
+        return owed
+
     def failing_nwd(*dists):
         started.wait()
         raise DegenerateNormalizer("input and target are indistinguishable")
 
     monkeypatch.setattr(harness, "load_volume", slow_load)
+    monkeypatch.setattr(harness._SharedFiles, "start", start_then_wait)
     monkeypatch.setattr(harness, "nwd", failing_nwd)
     with pytest.raises(NoSuccessfulRows) as failed:
         evaluate_all(records, EvalConfig(workers=1))
