@@ -167,8 +167,10 @@ def _record_from_dict(raw: dict, base: Path, where: str) -> TripletRecord:
     else:
         try:
             channel = int(channel_raw)
+            if channel < 0:
+                raise ValueError(channel)
         except ValueError as exc:
-            raise UnreadableFile(f"{where}: channel must be an integer, got {channel_raw!r}") from exc
+            raise UnreadableFile(f"{where}: channel must be a non-negative integer, got {channel_raw!r}") from exc
 
     return TripletRecord(
         id=get("id"),
@@ -251,13 +253,12 @@ class _SharedFiles:
     What a record takes from a file is a product, made once per run from
     the file's spelling in the first row naming it:
 
-    * ``("fg", path)``, an intensity file's foregrounds: one entry per
-      channel the manifest asks of the file (``None`` for a 3-D row),
-      each the distribution or the error of selecting that channel and
-      extracting it. The grid is dropped once they are made.
-    * ``("grid", path)``, the grid of a file the gt metrics read (a gt,
-      or the prediction of a row with gt), for every row naming it; such
-      a row selects its channel and extracts its foreground itself.
+    * ``("intensity", path)``: per channel the manifest asks of the file
+      (``None`` for a 3-D row), the error of selecting it or a
+      (foreground, grid) pair, each ``None`` unless a row wants it: the
+      foreground, or the error of extracting it, for rows taking the file
+      as input, target or prediction; the grid for the gt metrics, of a
+      gt or of the prediction of a row with gt.
     * ``("seg", path)``, the label volume of a ``seg_*`` column.
 
     Each product is one future, made by whichever thread claims it
@@ -274,27 +275,22 @@ class _SharedFiles:
     Each use in the manifest is counted off once, when its record takes
     the product or ends; after the last, the product is dropped and its
     decode cancelled if not started. A failure is kept without its frames
-    and raised to every use, so they all get the same status.
+    and raised to every use it concerns, so they all get the same status.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
         self._config = config
         self._pool = pool
-        # files the gt metrics read, which stay grids for every row naming them
-        self._grids = {
-            os.path.realpath(path)
-            for rec in records if rec.gt_path is not None
-            for path in (rec.pred_path, rec.gt_path)
-        }
         self._path: dict[tuple[str, str], Path] = {}
-        self._channels: dict[tuple[str, str], dict[int | None, None]] = {}
+        # what the rows take of each intensity product, by channel
+        self._wants: dict[tuple[str, str], dict[int | None, set[str]]] = {}
         self._left = Counter()  # uses of each product not yet counted off
         for rec in records:
-            for key, path in self._named(rec):
+            for key, path, parts in self._named(rec):
                 self._left[key] += 1
                 self._path.setdefault(key, path)
-                if key[0] == "fg":
-                    self._channels.setdefault(key, {})[rec.channel] = None
+                if key[0] == "intensity":
+                    self._wants.setdefault(key, {}).setdefault(rec.channel, set()).update(parts)
         self._made: dict[tuple[str, str], Future] = {}
         self._records = records
         # records started so far; the pool starts them in manifest order,
@@ -302,18 +298,18 @@ class _SharedFiles:
         self._started = 0
         self._lock = threading.Lock()
 
-    def kind(self, path: Path) -> str:
-        """The kind of product of the intensity file ``path``: "grid" or "fg"."""
-        return "grid" if os.path.realpath(path) in self._grids else "fg"
-
-    def _named(self, rec: TripletRecord):
-        """((kind, resolved path), path) of every file ``rec`` names, in column order."""
-        for path in (rec.input_path, rec.target_path, rec.pred_path, rec.gt_path):
+    @staticmethod
+    def _named(rec: TripletRecord):
+        """((kind, resolved path), path, what ``rec`` takes of it) of every
+        file ``rec`` names, in column order."""
+        fg, gt = ("foreground",), () if rec.gt_path is None else ("grid",)
+        for kind, path, parts in (
+            ("intensity", rec.input_path, fg), ("intensity", rec.target_path, fg),
+            ("intensity", rec.pred_path, fg + gt), ("intensity", rec.gt_path, gt),
+            ("seg", rec.seg_input_path, ()), ("seg", rec.seg_pred_path, ()),
+        ):
             if path is not None:
-                yield (self.kind(path), os.path.realpath(path)), path
-        for path in (rec.seg_input_path, rec.seg_pred_path):
-            if path is not None:
-                yield ("seg", os.path.realpath(path)), path
+                yield (kind, os.path.realpath(path)), path, parts
 
     def start(self, rec: TripletRecord) -> Counter:
         """Submit the decodes of ``rec``'s products not yet submitted, then
@@ -328,7 +324,7 @@ class _SharedFiles:
 
     def _submit(self, rec: TripletRecord) -> Counter:
         owed = Counter()
-        for key, _ in self._named(rec):
+        for key, _, _ in self._named(rec):
             owed[key] += 1
             # a product whose uses are all counted off is not made again: the
             # next record to start may have started out of order and taken it
@@ -358,22 +354,26 @@ class _SharedFiles:
         kind, path = key[0], self._path[key]
         if kind == "seg":
             return load_segmentation(path, self._config)
-        grid = load_volume(path)
-        if kind == "grid":
-            return grid
-        foregrounds = {}
-        for channel in self._channels[key]:
+        volume = load_volume(path)
+        entries = {}
+        for channel, parts in self._wants[key].items():
             try:
-                foregrounds[channel] = extract_foreground(
-                    _single_channel(grid, path, channel), self._config.policy
-                )
+                grid = _single_channel(volume, path, channel)
             except _RECORD_ERRORS as exc:
-                foregrounds[channel] = _without_frames(exc)
-        return foregrounds
+                entries[channel] = _without_frames(exc)
+                continue
+            foreground = None
+            if "foreground" in parts:
+                try:
+                    foreground = extract_foreground(grid, self._config.policy)
+                except _RECORD_ERRORS as exc:
+                    foreground = _without_frames(exc)
+            entries[channel] = (foreground, grid if "grid" in parts else None)
+        return entries
 
     def take(self, kind: str, path: Path, owed: Counter, channel: int | None = None):
         """The product, once made, counting off one of the uses in ``owed``;
-        of an "fg" product, the foreground of ``channel``.
+        of an intensity product, the (foreground, grid) entry of ``channel``.
 
         While the product is being made, the record makes the first of its
         own products in ``owed`` that no thread has claimed, in column
@@ -386,17 +386,11 @@ class _SharedFiles:
                 pass
             product = future.result()
         except _RECORD_ERRORS as exc:
-            # A copy each time: raising one instance again and again would
-            # chain every record's frames onto its traceback.
-            raise copy.copy(exc) from None
+            raise copy.copy(exc) from None  # a copy each time, see _or_raise
         finally:
             owed[key] -= 1
             self.count_off({key: 1})
-        if kind == "fg":
-            product = product[channel]
-            if isinstance(product, Exception):
-                raise copy.copy(product) from None
-        return product
+        return product if kind == "seg" else _or_raise(product[channel])
 
     def _make_own(self, owed: Counter) -> bool:
         """Make the first product the record still owes a use of that no
@@ -423,25 +417,28 @@ def _without_frames(exc: BaseException) -> BaseException:
     return exc
 
 
+def _or_raise(value):
+    """``value``, unless it is a kept error, of which a copy is raised:
+    raising one instance again and again would chain every record's
+    frames onto its traceback."""
+    if isinstance(value, BaseException):
+        raise copy.copy(value) from None
+    return value
+
+
 def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles) -> EvaluationRow:
     key = {"id": rec.id, "site_in": rec.site_in, "site_out": rec.site_out, "channel": rec.channel}
     owed = files.start(rec)
     try:
-        # A foreground is made where its file decodes, but from a grid the
-        # gt metrics read, which is extracted here; the prediction's grid
-        # is kept for the gt metrics.
-        dists, grid = [], None
+        # the prediction's grid, taken last, is kept for the gt metrics
+        dists = []
         for path in (rec.input_path, rec.target_path, rec.pred_path):
-            kind = files.kind(path)
-            product = files.take(kind, path, owed, rec.channel)
-            if kind == "grid":
-                grid = _single_channel(product, path, rec.channel)
-                product = extract_foreground(grid, config.policy)
-            dists.append(product)
+            foreground, grid = files.take("intensity", path, owed, rec.channel)
+            dists.append(_or_raise(foreground))
 
         reference = None
         if rec.gt_path:
-            grid_gt = _single_channel(files.take("grid", rec.gt_path, owed), rec.gt_path, rec.channel)
+            _, grid_gt = files.take("intensity", rec.gt_path, owed, rec.channel)
             reference = paired_metrics(grid, grid_gt, config.policy, config.ssim)
             del grid_gt
         del grid  # no grid is alive during W1
@@ -476,9 +473,10 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     order: intensities, gt metrics, W1, AP. It then submits those of the
     next record to start, which queue behind its own and decode while it
     computes; at most that one record is read ahead. A decode of an
-    intensity file also extracts its foregrounds, unless the gt metrics
-    read the file. A record that would wait on a decode makes its own
-    decodes not yet started instead, so at one worker two threads decode.
+    intensity file also selects each channel the rows ask of it, and
+    extracts each foreground a row takes, so no record extracts one. A
+    record that would wait on a decode makes its own decodes not yet
+    started instead, so at one worker two threads decode.
 
     Per-record failures land in the row status, the first failure in
     stage order ending the record. Raises

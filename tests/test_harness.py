@@ -194,6 +194,27 @@ def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, caps
     assert not loads and not out.exists()
 
 
+@pytest.mark.parametrize("channel", ["-1", "x", "1.5"])
+def test_bad_channel_rejects_the_manifest(tmp_path, monkeypatch, capsys, channel):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,in.nii,tg.nii,pr.nii,,,,A,B,0\n"
+        f"r0,in.nii,tg.nii,pr.nii,,,,A,B,{channel}\n"
+    )
+    with pytest.raises(UnreadableFile, match=rf"record 1: channel must be a non-negative integer, got '{channel}'"):
+        load_manifest(manifest)
+
+    # none of the named volumes exists: a run that read any would fail its rows instead
+    loads = []
+    monkeypatch.setattr(harness, "load_volume", lambda path: loads.append(path))
+    out = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: UnreadableFile: ") and "record 1" in err[0]
+    assert not loads and not out.exists()
+
+
 def test_unreadable_manifest(tmp_path):
     with pytest.raises(UnreadableFile):
         load_manifest(tmp_path / "nope.csv")
@@ -444,30 +465,62 @@ def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch)
 
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_foregrounds_of_shared_files_are_extracted_once(tiny_dataset, monkeypatch, workers):
-    # one input and target pair with a prediction per row: each file loads
-    # once, and each file's foreground is extracted once, where it decodes
+@pytest.mark.parametrize(
+    "workers, gt", [(1, False), (3, False), (1, True), (3, True)], ids=["1", "3", "1-gt", "3-gt"]
+)
+def test_foregrounds_of_shared_files_are_extracted_once(tiny_dataset, monkeypatch, workers, gt):
+    # one input and target pair, with a prediction per row, or with one
+    # prediction and gt for every row: each file loads once, and each
+    # foreground a row takes is extracted once, where its file decodes
     base, _ = tiny_dataset
     rows = 4
-    lines = [MANIFEST_HEADER]
-    for i in range(rows):
-        shutil.copy(base / ("a.nii" if i % 2 else "b.nii"), base / f"p{i}.nii")
-        lines.append(f"r{i},a.nii,b.nii,p{i}.nii,,,,A,B,")
+    preds = ["p0.nii"] * rows if gt else [f"p{i}.nii" for i in range(rows)]
+    for i, pred in enumerate(dict.fromkeys(preds)):
+        shutil.copy(base / ("a.nii" if i % 2 else "b.nii"), base / pred)
+    shutil.copy(base / "a.nii", base / "g.nii")
+    lines = [MANIFEST_HEADER] + [f"r{i},a.nii,b.nii,{pred},{'g.nii' if gt else ''},,,A,B," for i, pred in enumerate(preds)]
     (base / "m.csv").write_text("\n".join(lines) + "\n")
     loads = _counted_loads(monkeypatch)
-    extractions = []
-    extract = harness.extract_foreground
+    loaded, extractions = [], Counter()
+    load, extract = harness.load_volume, harness.extract_foreground
+
+    def noted_load(path):
+        grid = load(path)
+        loaded.append((grid, path.name))
+        return grid
 
     def counted_extract(grid, policy):
-        extractions.append(grid.dims)
+        extractions[next(name for seen, name in loaded if seen is grid)] += 1
         return extract(grid, policy)
 
+    monkeypatch.setattr(harness, "load_volume", noted_load)
     monkeypatch.setattr(harness, "extract_foreground", counted_extract)
     result = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
-    assert all(r.ok for r in result)
-    assert loads == {"a.nii": 1, "b.nii": 1, **{f"p{i}.nii": 1 for i in range(rows)}}
-    assert len(extractions) == rows + 2
+    assert all(r.ok for r in result) and all((r.reference is not None) == gt for r in result)
+    files = ["a.nii", "b.nii", *dict.fromkeys(preds)]
+    assert loads == {name: 1 for name in files + ["g.nii"] * gt}
+    # the gt-only file's foreground is never made
+    assert extractions == {name: 1 for name in files}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_empty_foreground_of_a_shared_file_fails_only_the_rows_taking_it(tiny_dataset, monkeypatch, workers):
+    # zero.nii is the gt of r0 and r2 and the input of r1: the gt metrics
+    # read its grid, whatever its foreground
+    base, _ = tiny_dataset
+    _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,a.nii,zero.nii,,,A,B,\n"
+        "r1,zero.nii,b.nii,a.nii,,,,A,B,\n"
+        "r2,b.nii,a.nii,b.nii,zero.nii,,,A,B,\n"
+    )
+    loads = _counted_loads(monkeypatch)
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    assert [r.ok for r in rows] == [True, False, True]
+    assert rows[0].reference is not None and rows[2].reference is not None
+    assert rows[1].status.startswith("error: EmptyForeground: ")
+    assert loads == {"a.nii": 1, "b.nii": 1, "zero.nii": 1}
 
 
 def test_bad_channel_of_a_shared_file_fails_only_its_row(tmp_path, monkeypatch):
@@ -664,7 +717,7 @@ def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monk
     with ThreadPoolExecutor(1) as pool:
         files = harness._SharedFiles(records, EvalConfig(), pool)
         owed = files.start(records[2])
-        files.take("fg", records[2].input_path, owed)
+        files.take("intensity", records[2].input_path, owed)
         files.count_off(+owed)
         owed = files.start(records[1])
         assert not [key for key in files._made if os.path.basename(key[1]).startswith("r2_")]
@@ -841,7 +894,7 @@ def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_datase
         (product,) = (key for key in owed if key[1].endswith("bad.nii.gz"))
         kept = files._made[product].exception()  # r1's use keeps the product
         with pytest.raises(MalformedHeader) as raised:
-            files.take("fg", base / "bad.nii.gz", owed)
+            files.take("intensity", base / "bad.nii.gz", owed)
     assert isinstance(kept, MalformedHeader)
     assert raised.value is not kept and str(raised.value) == str(kept)
     # no frame from harmbench/nifti.py, whose locals hold the file's bytes
@@ -862,9 +915,11 @@ def test_failed_foreground_is_kept_without_the_frames_holding_its_grid(tiny_data
         files = harness._SharedFiles(records, EvalConfig(), pool)
         owed = files.start(records[0])
         (product,) = (key for key in owed if key[1].endswith("zero.nii"))
-        kept = files._made[product].result()[None]  # r1's use keeps the product
+        kept, grid = files._made[product].result()[None]  # r1's use keeps the product
+        foreground, _ = files.take("intensity", base / "zero.nii", owed)
+        assert foreground is kept and grid is None  # no gt metrics read zero.nii
         with pytest.raises(EmptyForeground) as raised:
-            files.take("fg", base / "zero.nii", owed)
+            harness._or_raise(foreground)
     assert isinstance(kept, EmptyForeground)
     assert raised.value is not kept and str(raised.value) == str(kept)
     # no frame at all: extract_foreground's locals hold the file's grid
