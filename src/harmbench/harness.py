@@ -187,7 +187,7 @@ def _record_from_dict(raw: dict, base: Path, where: str) -> TripletRecord:
 
 
 def load_manifest(path: str | Path) -> list[TripletRecord]:
-    """Read a CSV (with header) or JSON-array manifest.
+    """Read a CSV (with header) or JSON-array manifest of at least one row.
 
     Relative paths are resolved against the manifest's directory, and
     records are keyed by (id, channel) so a multichannel dataset lists
@@ -210,12 +210,13 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
         dicts = items
     else:
         reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise MissingColumn(f"{path}: manifest is empty")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+        # a file without a header has no rows either, and is reported as such
+        missing = [c for c in REQUIRED_COLUMNS if c not in (reader.fieldnames or REQUIRED_COLUMNS)]
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
         dicts = list(reader)
+    if not dicts:
+        raise MissingColumn(f"{path}: manifest is empty")
 
     records: list[TripletRecord] = []
     seen: set[tuple[str, int | None]] = set()
@@ -263,19 +264,20 @@ class _SharedFiles:
 
     Each product is one future, made by whichever thread claims it
     first. A record submits, when it starts, a decode of each of its
-    products not yet submitted, in column order, then of those of the
-    first record in manifest order not yet started; the pool's FIFO
-    queue puts the latter behind the record's own, so the next record's
-    files decode during this record's later stages, and no record
-    further ahead is read, whatever the pool's size. A record about to
-    wait on a product still being made makes its own products no thread
-    has claimed instead (never the next record's), so at one worker two
+    products not yet submitted, in column order, then of those of its
+    successor in the manifest; the one decode thread's FIFO queue puts
+    the latter behind the record's own, so the next record's files decode
+    during this record's later stages, and no record further ahead is
+    read, whatever the number of records running. A record about to wait
+    on a product still being made makes its own products no thread has
+    claimed instead (never the next record's), so at one worker two
     threads decode.
 
     Each use in the manifest is counted off once, when its record takes
-    the product or ends; after the last, the product is dropped and its
-    decode cancelled if not started. A failure is kept without its frames
-    and raised to every use it concerns, so they all get the same status.
+    the product or ends; after the last, the product is dropped, and a
+    decode of it not yet started finds it gone. A failure is kept without
+    its frames and raised to every use it concerns, so they all get the
+    same status.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
@@ -292,10 +294,7 @@ class _SharedFiles:
                 if key[0] == "intensity":
                     self._wants.setdefault(key, {}).setdefault(rec.channel, set()).update(parts)
         self._made: dict[tuple[str, str], Future] = {}
-        self._records = records
-        # records started so far; the pool starts them in manifest order,
-        # so the next to start is self._records[self._started]
-        self._started = 0
+        self._next = dict(zip(records, records[1:]))
         self._lock = threading.Lock()
 
     @staticmethod
@@ -313,21 +312,20 @@ class _SharedFiles:
 
     def start(self, rec: TripletRecord) -> Counter:
         """Submit the decodes of ``rec``'s products not yet submitted, then
-        those of the next record to start, if any; the uses ``rec`` has to
-        count off, by product."""
+        those of its successor, if any; the uses ``rec`` has to count off,
+        by product."""
         with self._lock:
-            self._started += 1
             owed = self._submit(rec)
-            if self._started < len(self._records):
-                self._submit(self._records[self._started])
+            if rec in self._next:
+                self._submit(self._next[rec])
             return owed
 
     def _submit(self, rec: TripletRecord) -> Counter:
         owed = Counter()
         for key, _, _ in self._named(rec):
             owed[key] += 1
-            # a product whose uses are all counted off is not made again: the
-            # next record to start may have started out of order and taken it
+            # a product whose uses are all counted off is not made again: a
+            # successor that started and finished first may have taken it
             if key in self._left and key not in self._made:
                 self._made[key] = Future()
                 self._pool.submit(self._make, key)
@@ -404,9 +402,7 @@ class _SharedFiles:
                 self._left[key] -= n
                 if not self._left[key]:
                     del self._left[key]
-                    future = self._made.pop(key, None)
-                    if future is not None:
-                        future.cancel()  # a no-op once its decode started
+                    self._made.pop(key, None)
 
 
 def _without_frames(exc: BaseException) -> BaseException:
@@ -465,15 +461,15 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
 
 
 def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConfig()) -> list[EvaluationRow]:
-    """Evaluate every record on ``config.workers`` threads; row order
-    follows the manifest. A file named by several rows is read once.
+    """Evaluate ``config.workers`` records at a time; row order follows
+    the manifest. A file named by several rows is read once.
 
-    A record submits the decodes of all its files when it starts, on a
-    second pool of ``config.workers`` threads, and uses them in stage
-    order: intensities, gt metrics, W1, AP. It then submits those of the
-    next record to start, which queue behind its own and decode while it
-    computes; at most that one record is read ahead. A decode of an
-    intensity file also selects each channel the rows ask of it, and
+    A record submits the decodes of all its files when it starts, to one
+    decode thread shared by every record, and uses them in stage order:
+    intensities, gt metrics, W1, AP. It then submits those of its
+    successor in the manifest, which queue behind its own and decode
+    while it computes; at most that one record is read ahead. A decode of
+    an intensity file also selects each channel the rows ask of it, and
     extracts each foreground a row takes, so no record extracts one. A
     record that would wait on a decode makes its own decodes not yet
     started instead, so at one worker two threads decode.
@@ -483,7 +479,7 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     :class:`NoSuccessfulRows` (carrying the failed rows) only when every
     single record failed.
     """
-    with ThreadPoolExecutor(config.workers) as decode, ThreadPoolExecutor(config.workers) as pool:
+    with ThreadPoolExecutor(1) as decode, ThreadPoolExecutor(config.workers) as pool:
         files = _SharedFiles(records, config, decode)
         rows = list(pool.map(lambda rec: _evaluate_record(rec, config, files), records))
     if records and not any(r.ok for r in rows):

@@ -86,14 +86,12 @@ def rank_average_ties(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
     a = np.asarray(values, dtype=np.float64).reshape(-1)
     order = np.argsort(a, kind="stable")
+    s = a[order]
+    # each tie group spans sorted positions first..last; NaN ties nothing
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    last = np.r_[first[1:], a.size] - 1
     ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

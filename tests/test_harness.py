@@ -194,6 +194,20 @@ def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, caps
     assert not loads and not out.exists()
 
 
+@pytest.mark.parametrize("name, text", [("m.csv", MANIFEST_HEADER + "\n"), ("m.json", "[]"), ("m.csv", "")])
+def test_manifest_without_rows_is_a_manifest_error(tmp_path, capsys, name, text):
+    manifest = tmp_path / name
+    manifest.write_text(text)
+    with pytest.raises(MissingColumn, match="manifest is empty"):
+        load_manifest(manifest)
+
+    out = tmp_path / "results.csv"
+    assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: MissingColumn: {manifest}: manifest is empty"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channel", ["-1", "x", "1.5"])
 def test_bad_channel_rejects_the_manifest(tmp_path, monkeypatch, capsys, channel):
     manifest = tmp_path / "m.csv"
@@ -603,11 +617,12 @@ class _ReadAheadLog:
     that have decodes submitted, and the record whose thread loads the
     file (None on a decode thread); it also logs the products a decode
     thread takes up, made or not, in its order. Each record's W1 waits
-    (bounded) for the input of each of the next ``workers`` records that
-    exist to load, so no worker starts a record before its read-ahead
-    loads are logged; record 0's W1 then notes the loads done so far."""
+    (bounded) for the input of each of the next ``workers`` records of
+    the ``rows`` in the manifest to load, so no worker starts a record
+    before its read-ahead loads are logged; record 0's W1 then notes the
+    loads done so far."""
 
-    def __init__(self, monkeypatch, workers):
+    def __init__(self, monkeypatch, workers, rows):
         self.events, self.loads_at_w1, self.ahead = [], None, []
         self.loaded_by, self.taken_up = [], []
         self._loaded, self._local = {}, threading.local()
@@ -634,7 +649,7 @@ class _ReadAheadLog:
 
         def logged_nwd(*dists):
             index = int(self._local.id[1:])
-            for later in range(index + 1, min(index + workers + 1, len(self._files._records))):
+            for later in range(index + 1, min(index + workers + 1, rows)):
                 loaded(f"r{later}_in.nii").wait(5)
             if self._local.id == "r0":
                 self.loads_at_w1 = {name for kind, name in self.events if kind == "load"}
@@ -665,7 +680,7 @@ def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, wor
     # four records, so that at two workers two records are still unstarted
     # while the first computes: reading two ahead would then show
     records = load_manifest(_own_files_rows(base, 4))
-    log = _ReadAheadLog(monkeypatch, workers)
+    log = _ReadAheadLog(monkeypatch, workers, len(records))
     rows = evaluate_all(records, EvalConfig(workers=workers))
     assert all(r.ok for r in rows)
     # record 1's files decode while record 0 computes, even on one thread
@@ -708,9 +723,35 @@ def test_read_ahead_reads_each_own_file_once_under_thread_switches(tiny_dataset,
     assert len(loads) == 12 * 6 and set(loads.values()) == {1}
 
 
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_read_ahead_runs_on_one_thread_at_any_worker_count(tiny_dataset, monkeypatch, workers):
+    # the worker count sets how many records run at once: beside their
+    # threads, which make their own files while they wait, one thread decodes
+    base, _ = tiny_dataset
+    records = load_manifest(_own_files_rows(base, 8))
+    makers, record_threads = set(), set()
+    make, evaluate = harness._SharedFiles._make, harness._evaluate_record
+
+    def noted_make(files, key):
+        made = make(files, key)
+        if made:
+            makers.add(threading.current_thread())
+        return made
+
+    def noted_evaluate(rec, config, files):
+        record_threads.add(threading.current_thread())
+        return evaluate(rec, config, files)
+
+    monkeypatch.setattr(harness._SharedFiles, "_make", noted_make)
+    monkeypatch.setattr(harness, "_evaluate_record", noted_evaluate)
+    rows = evaluate_all(records, EvalConfig(workers=workers))
+    assert all(r.ok for r in rows)
+    assert len(makers - record_threads) == 1
+
+
 def test_read_ahead_does_not_remake_a_product_already_used_up(tiny_dataset, monkeypatch):
     # records can start out of order: here record 2 starts and ends first,
-    # so record 1, starting next, still takes it for the next to start
+    # so record 1, starting next, finds its successor's files used up
     base, _ = tiny_dataset
     records = load_manifest(_own_files_rows(base, 3))
     loads = _counted_loads(monkeypatch)
@@ -762,7 +803,7 @@ def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dat
 def test_failed_record_keeps_the_next_records_read_ahead(tiny_dataset, monkeypatch, workers):
     base, _ = tiny_dataset
     records = load_manifest(_own_files_rows(base, 2, same_input_target={0}))
-    log = _ReadAheadLog(monkeypatch, workers)
+    log = _ReadAheadLog(monkeypatch, workers, len(records))
     rows = evaluate_all(records, EvalConfig(workers=workers))
     assert rows[0].status.startswith("error: DegenerateNormalizer: ")
     assert rows[1].ok
