@@ -12,7 +12,7 @@ mean ± std tables.
 __version__ = "0.1.0"
 
 from . import errors
-from .anatomy import ApReport, StructureVolume, anatomy_preservation, as_label_volume, structure_volumes
+from .anatomy import ApReport, anatomy_preservation, as_label_volume, structure_volumes
 from .distribution import (
     EmpiricalDistribution,
     ForegroundPolicy,
@@ -44,7 +44,7 @@ from .wasserstein import HarmonizationVerdict, Verdict, WdPair, classify, nwd, w
 __all__ = [
     "__version__",
     "errors",
-    "ApReport", "StructureVolume", "anatomy_preservation", "as_label_volume", "structure_volumes",
+    "ApReport", "anatomy_preservation", "as_label_volume", "structure_volumes",
     "EmpiricalDistribution", "ForegroundPolicy", "extract_foreground", "foreground_mask",
     "EvalConfig", "EvaluationRow", "MetricSummary", "SummaryTable", "TripletRecord",
     "emit_report", "evaluate_all", "format_mean_std", "load_manifest", "parse_report_json",

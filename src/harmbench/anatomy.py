@@ -20,27 +20,15 @@ _NOT_LABELS = "segmentation voxels must be nonnegative integers"
 
 
 @dataclass(frozen=True)
-class StructureVolume:
-    label: int
-    name: str
-    volume_mm3: float
-
-
-@dataclass(frozen=True)
 class ApReport:
-    """Per-structure preservation scores and their mean."""
+    """Per-structure preservation scores, by label, and their mean."""
 
-    per_structure: dict[str, float]
+    per_structure: dict[int, float]
     mean_ap: float
 
 
-def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> LabelVolume:
-    """Reinterpret an integer-valued grid as a segmentation.
-
-    Without a legend every distinct nonzero label becomes ``label-<k>``.
-    A legend must name every nonzero label present; names of labels
-    absent from the volume are dropped.
-    """
+def as_label_volume(grid: VoxelGrid) -> LabelVolume:
+    """Reinterpret an integer-valued grid as a segmentation."""
     if grid.channel_count != 1:
         raise ValueError("label volumes are single-channel")
     values = grid.values
@@ -57,27 +45,19 @@ def as_label_volume(grid: VoxelGrid, legend: dict[int, str] | None = None) -> La
         raise ValueError(_NOT_LABELS)
     else:
         labels = values
-    seg = LabelVolume(grid.dims, grid.spacing, labels)
-    if legend is None:
-        return seg
-    return seg.renamed({k: v for k, v in legend.items() if k in seg.voxel_counts})
+    return LabelVolume(grid.dims, grid.spacing, labels)
 
 
-def structure_volumes(seg: LabelVolume) -> list[StructureVolume]:
-    """Physical volume of every legend structure, including empty ones."""
+def structure_volumes(seg: LabelVolume) -> dict[int, float]:
+    """Physical volume in mm³ of every nonzero label present, by label."""
     voxel = seg.voxel_volume_mm3
-    return [
-        StructureVolume(
-            label=label, name=name, volume_mm3=float(seg.voxel_counts.get(label, 0)) * voxel
-        )
-        for label, name in sorted(seg.legend.items())
-    ]
+    return {label: float(n) * voxel for label, n in seg.voxel_counts.items()}
 
 
 def anatomy_preservation(
     seg_input: LabelVolume, seg_pred: LabelVolume, *, weighted: bool = False
 ) -> ApReport:
-    """Volume-preservation score over the structures both segmentations share.
+    """Volume-preservation score over the labels present in both segmentations.
 
     The mean is unweighted by default; ``weighted`` switches to weighting
     by input volume, which is never the default reporting convention.
@@ -90,26 +70,24 @@ def anatomy_preservation(
             "volumes are still comparable but check the pipeline",
             stacklevel=2,
         )
-    shared = sorted(set(seg_input.legend) & set(seg_pred.legend))
+    shared = sorted(seg_input.voxel_counts.keys() & seg_pred.voxel_counts.keys())
     if not shared:
         raise NoCommonStructures("segmentations share no nonzero label")
 
-    vol_in = {s.label: s.volume_mm3 for s in structure_volumes(seg_input)}
-    vol_pr = {s.label: s.volume_mm3 for s in structure_volumes(seg_pred)}
+    vol_in = structure_volumes(seg_input)
+    vol_pr = structure_volumes(seg_pred)
 
-    per_structure: dict[str, float] = {}
-    input_volumes: list[float] = []
+    per_structure: dict[int, float] = {}
     for label in shared:
         vi = vol_in[label]
+        # every present label has voxels: only a voxel volume that underflows is zero
         if vi <= 0.0:
-            raise ZeroInputVolume(
-                f"structure {seg_input.legend[label]!r} has zero input volume"
-            )
-        per_structure[seg_input.legend[label]] = 1.0 - abs(vol_pr[label] - vi) / vi
-        input_volumes.append(vi)
+            raise ZeroInputVolume(f"label {label} has zero input volume")
+        per_structure[label] = 1.0 - abs(vol_pr[label] - vi) / vi
 
     scores = list(per_structure.values())
     if weighted:
+        input_volumes = [vol_in[label] for label in shared]
         total = sum(input_volumes)
         mean_ap = sum(s * v for s, v in zip(scores, input_volumes)) / total
     else:

@@ -28,7 +28,6 @@ from .harness import (
     emit_report,
     evaluate_all,
     load_manifest,
-    load_segmentation,
     read_results,
     row_cells,
     series_from_rows,
@@ -95,20 +94,26 @@ def _add_wd_flags(p: argparse.ArgumentParser) -> None:
 
 def label_legend(spec: str) -> dict[int, str] | None:
     """``--labels`` value such as ``1=GM,2=WM``; a bare label is named
-    ``label-<k>``."""
+    ``label-<k>``. Each label is at least 1 and given once, and no two
+    labels share a name."""
     if not spec:
         return None
     legend = {}
     for item in spec.split(","):
         key, _, name = item.partition("=")
         label = int(key)
-        legend[label] = name.strip() or f"label-{label}"
+        name = name.strip() or f"label-{label}"
+        if label < 1:
+            raise argparse.ArgumentTypeError(f"label {label} is below 1")
+        if label in legend:
+            raise argparse.ArgumentTypeError(f"label {label} is given twice")
+        if name in legend.values():
+            raise argparse.ArgumentTypeError(f"name {name!r} is given to two labels")
+        legend[label] = name
     return legend
 
 
 def _add_ap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--labels", type=label_legend, default=None,
-                   help="segmentation legend, e.g. 1=GM,2=WM")
     p.add_argument("--weighted", dest="weighted_ap", action="store_true",
                    help="weight the mean by input volume (not the reporting default)")
 
@@ -163,16 +168,21 @@ def _cmd_wd(ns, config: EvalConfig) -> int:
 
 
 def _cmd_ap(ns, config: EvalConfig) -> int:
-    report = anatomy_preservation(
-        load_segmentation(ns.seg_input, config),
-        load_segmentation(ns.seg_pred, config),
-        weighted=config.weighted_ap,
-    )
+    legend = ns.labels
+    segs = []
+    for path in (ns.seg_input, ns.seg_pred):
+        segs.append(as_label_volume(load_volume(path)))
+        unnamed = [k for k in segs[-1].voxel_counts if legend and k not in legend]
+        if unnamed:
+            raise ValueError(f"labels {unnamed} present in volume but absent from legend")
+    report = anatomy_preservation(*segs, weighted=config.weighted_ap)
+    per_structure = {
+        legend[k] if legend else f"label-{k}": ap for k, ap in report.per_structure.items()
+    }
     if ns.json:
-        _print_json({"per_structure": report.per_structure, "mean_ap": report.mean_ap})
+        _print_json({"per_structure": per_structure, "mean_ap": report.mean_ap})
     else:
-        _print_pairs([(name, ap) for name, ap in report.per_structure.items()])
-        _print_pairs([("mean_ap", report.mean_ap)])
+        _print_pairs([*per_structure.items(), ("mean_ap", report.mean_ap)])
     return 0
 
 
@@ -282,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap", help="anatomy preservation from two segmentations")
     p.add_argument("--seg-input", type=Path, required=True)
     p.add_argument("--seg-pred", type=Path, required=True)
+    p.add_argument("--labels", type=label_legend, default=None,
+                   help="structure names to print, e.g. 1=GM,2=WM")
     _add_ap_flags(p)
     common(p)
     p.set_defaults(func=_cmd_ap)

@@ -36,7 +36,7 @@ from .errors import (
 from .nifti import load_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
 from .stats import MetricSeries, mean_std, sentinel_count
-from .volume import LabelVolume, VoxelGrid
+from .volume import VoxelGrid
 from .wasserstein import (
     DEFAULT_VERDICT_TOL,
     HarmonizationVerdict,
@@ -92,7 +92,6 @@ class EvalConfig:
     policy: ForegroundPolicy = ForegroundPolicy()
     tol: float = DEFAULT_VERDICT_TOL
     ssim: SsimParams = SsimParams()
-    labels: dict[int, str] | None = None
     weighted_ap: bool = False
     workers: int = 1
 
@@ -112,8 +111,6 @@ class EvalConfig:
             "ssim_window": self.ssim.window,
             "ssim_k1": self.ssim.k1,
             "ssim_k2": self.ssim.k2,
-            "labels": "" if self.labels is None else
-                      ",".join(f"{k}={v}" for k, v in sorted(self.labels.items())),
             "weighted_ap": self.weighted_ap,
         }
 
@@ -243,11 +240,6 @@ def _single_channel(grid: VoxelGrid, path: Path, channel: int | None) -> VoxelGr
     return grid
 
 
-def load_segmentation(path: Path, config: EvalConfig) -> LabelVolume:
-    """The segmentation in ``path``, named by ``config.labels``."""
-    return as_label_volume(load_volume(path), config.labels)
-
-
 class _SharedFiles:
     """One run's decodes of the files its manifest names.
 
@@ -351,7 +343,7 @@ class _SharedFiles:
     def _decode(self, key: tuple[str, str]):
         kind, path = key[0], self._path[key]
         if kind == "seg":
-            return load_segmentation(path, self._config)
+            return as_label_volume(load_volume(path))
         volume = load_volume(path)
         entries = {}
         for channel, parts in self._wants[key].items():

@@ -138,8 +138,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VoxelGrid, LabelVolume]:
     """
     labels = np.zeros(math.prod(spec.dims), dtype=np.int64)
     grid = _render(spec, labels)
-    legend = {s.label: f"label-{s.label}" for s in spec.structures}
-    return grid, LabelVolume(spec.dims, spec.spacing, labels, legend)
+    return grid, LabelVolume(spec.dims, spec.spacing, labels)
 
 
 def histogram_match(

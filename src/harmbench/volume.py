@@ -10,7 +10,6 @@ their integer dtype too, except that uint64 becomes int64.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +110,6 @@ class VoxelGrid:
 class LabelVolume:
     """Integer-labeled segmentation grid; label 0 is background.
 
-    ``legend`` maps every nonzero label that appears in ``labels`` to a
-    structure name; without one, each such label is named ``label-<k>``.
     ``voxel_counts`` holds the voxel count of every nonzero label present,
     in ascending label order, counted once on construction.
     """
@@ -120,7 +117,6 @@ class LabelVolume:
     dims: Dims
     spacing: Spacing
     labels: np.ndarray
-    legend: dict[int, str] | None = None
     voxel_counts: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -138,14 +134,9 @@ class LabelVolume:
         if labels.size != nx * ny * nz:
             raise ValueError(f"labels length {labels.size} != nx*ny*nz = {nx * ny * nz}")
         counts = _count_labels(labels)
-        if self.legend is None:
-            legend = {k: f"label-{k}" for k in counts}
-        else:
-            legend = _checked_legend(self.legend, counts)
         object.__setattr__(self, "dims", (nx, ny, nz))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "labels", _frozen_array(labels))
-        object.__setattr__(self, "legend", legend)
         object.__setattr__(self, "voxel_counts", counts)
 
     @property
@@ -156,20 +147,12 @@ class LabelVolume:
     def as_array(self) -> np.ndarray:
         return self.labels.reshape(self.dims, order="F")
 
-    def renamed(self, legend: dict[int, str]) -> "LabelVolume":
-        """The same segmentation under ``legend``, which must name every
-        nonzero label present; the labels are not validated or counted again."""
-        out = copy.copy(self)
-        object.__setattr__(out, "legend", _checked_legend(legend, self.voxel_counts))
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelVolume):
             return NotImplemented
         return (
             self.dims == other.dims
             and self.spacing == other.spacing
-            and self.legend == other.legend
             and np.array_equal(self.labels, other.labels)
         )
 
@@ -208,11 +191,3 @@ def _count_labels(labels: np.ndarray) -> dict[int, int]:
     present, counts = np.unique(labels, return_counts=True)
     keep = present != 0
     return dict(zip(present[keep].tolist(), counts[keep].tolist()))
-
-
-def _checked_legend(legend: dict, counts: dict[int, int]) -> dict[int, str]:
-    legend = {int(k): str(v) for k, v in dict(legend).items()}
-    missing = [k for k in counts if k not in legend]
-    if missing:
-        raise ValueError(f"labels {missing} present in volume but absent from legend")
-    return legend

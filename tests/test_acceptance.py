@@ -129,8 +129,7 @@ def test_volume_preservation_arithmetic():
     rng = np.random.default_rng(17)
     for _ in range(10):
         labels = rng.integers(0, 5, size=12 ** 3)
-        legend = {k: f"s{k}" for k in range(1, 5)}
-        seg = LabelVolume((12, 12, 12), tuple(rng.uniform(0.3, 2.0, 3)), labels, legend)
+        seg = LabelVolume((12, 12, 12), tuple(rng.uniform(0.3, 2.0, 3)), labels)
         report = anatomy_preservation(seg, seg)
         assert all(v == 1.0 for v in report.per_structure.values())
         assert report.mean_ap == 1.0
@@ -138,12 +137,11 @@ def test_volume_preservation_arithmetic():
     def flat(n_label, total=1000):
         labels = np.zeros(total, dtype=np.int64)
         labels[:n_label] = 1
-        return LabelVolume((10, 10, 10), (1, 1, 1), labels, {1: "s"})
+        return LabelVolume((10, 10, 10), (1, 1, 1), labels)
 
     report = anatomy_preservation(flat(1000), flat(900))
-    assert abs(report.per_structure["s"] - 0.9) <= 1e-12
+    assert abs(report.per_structure[1] - 0.9) <= 1e-12
 
-    gm_wm = {1: "GM", 2: "WM"}
     li = np.zeros(4000, dtype=np.int64)
     li[:2000] = 1
     li[2000:2100] = 2
@@ -151,11 +149,11 @@ def test_volume_preservation_arithmetic():
     lp[1900:2000] = 0  # GM 2000 -> 1900: AP 0.95
     lp[2099:2100] = 0  # WM 100 -> 99:   AP 0.99
     report = anatomy_preservation(
-        LabelVolume((4000, 1, 1), (1, 1, 1), li, gm_wm),
-        LabelVolume((4000, 1, 1), (1, 1, 1), lp, gm_wm),
+        LabelVolume((4000, 1, 1), (1, 1, 1), li),
+        LabelVolume((4000, 1, 1), (1, 1, 1), lp),
     )
-    assert abs(report.per_structure["GM"] - 0.95) <= 1e-12
-    assert abs(report.per_structure["WM"] - 0.99) <= 1e-12
+    assert abs(report.per_structure[1] - 0.95) <= 1e-12
+    assert abs(report.per_structure[2] - 0.99) <= 1e-12
     assert abs(report.mean_ap - 0.97) <= 1e-12
     print("PASS volume-preservation-arithmetic: identity exact, 0.9 case, "
           "unweighted two-structure mean")

@@ -18,13 +18,11 @@ from harmbench.volume import _COUNT_BLOCK, LabelVolume, VoxelGrid, _count_labels
 from oracles import label_counts_direct
 
 
-def _seg(labels, dims=None, spacing=(1, 1, 1), legend=None):
+def _seg(labels, dims=None, spacing=(1, 1, 1)):
     labels = np.asarray(labels, dtype=np.int64)
     if dims is None:
         dims = (labels.size, 1, 1)
-    if legend is None:
-        legend = {int(v): f"label-{int(v)}" for v in np.unique(labels) if v != 0}
-    return LabelVolume(dims, spacing, labels, legend)
+    return LabelVolume(dims, spacing, labels)
 
 
 def _cube_seg(n_labeled, total=1000, label=1, spacing=(1, 1, 1)):
@@ -35,15 +33,13 @@ def _cube_seg(n_labeled, total=1000, label=1, spacing=(1, 1, 1)):
 
 def test_counting_with_unit_spacing():
     seg = _seg([1, 1, 1, 1, 0, 0, 0, 0], (2, 2, 2))
-    (vol,) = structure_volumes(seg)
-    assert vol.volume_mm3 == 4.0
-    assert vol.name == "label-1"
+    assert structure_volumes(seg) == {1: 4.0}
 
 
 def test_counting_with_half_millimeter_spacing():
     seg = _seg([1, 1, 1, 1, 0, 0, 0, 0], (2, 2, 2), spacing=(0.5, 0.5, 0.5))
-    (vol,) = structure_volumes(seg)
-    assert vol.volume_mm3 == pytest.approx(0.5, abs=1e-15)
+    (volume,) = structure_volumes(seg).values()
+    assert volume == pytest.approx(0.5, abs=1e-15)
 
 
 def test_volumes_match_per_label_scan_oracle():
@@ -52,14 +48,8 @@ def test_volumes_match_per_label_scan_oracle():
     seg = _seg(labels, (16, 16, 16), spacing=(0.7, 0.8, 0.9))
     counts = label_counts_direct(labels)
     voxel = 0.7 * 0.8 * 0.9
-    for sv in structure_volumes(seg):
-        assert sv.volume_mm3 == pytest.approx(counts.get(sv.label, 0) * voxel, rel=1e-12)
-
-
-def test_legend_labels_with_zero_voxels_still_reported():
-    seg = LabelVolume((2, 1, 1), (1, 1, 1), np.array([1, 0]), {1: "GM", 2: "WM"})
-    vols = {s.name: s.volume_mm3 for s in structure_volumes(seg)}
-    assert vols == {"GM": 1.0, "WM": 0.0}
+    for label, volume in structure_volumes(seg).items():
+        assert volume == pytest.approx(counts.get(label, 0) * voxel, rel=1e-12)
 
 
 def test_identity_preservation_is_exactly_one():
@@ -73,7 +63,7 @@ def test_identity_preservation_is_exactly_one():
 
 def test_ten_percent_shrink_scores_point_nine():
     report = anatomy_preservation(_cube_seg(1000, 1000), _cube_seg(900, 1000))
-    assert report.per_structure["label-1"] == pytest.approx(0.9, abs=1e-12)
+    assert report.per_structure[1] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_mean_is_unweighted_average():
@@ -84,12 +74,11 @@ def test_mean_is_unweighted_average():
     labels_p = np.zeros(2000, dtype=np.int64)
     labels_p[:950] = 1
     labels_p[1000:1099] = 2
-    legend = {1: "GM", 2: "WM"}
-    seg_i = LabelVolume((2000, 1, 1), (1, 1, 1), labels_i, legend)
-    seg_p = LabelVolume((2000, 1, 1), (1, 1, 1), labels_p, legend)
+    seg_i = LabelVolume((2000, 1, 1), (1, 1, 1), labels_i)
+    seg_p = LabelVolume((2000, 1, 1), (1, 1, 1), labels_p)
     report = anatomy_preservation(seg_i, seg_p)
-    assert report.per_structure["GM"] == pytest.approx(0.95, abs=1e-12)
-    assert report.per_structure["WM"] == pytest.approx(0.99, abs=1e-12)
+    assert report.per_structure[1] == pytest.approx(0.95, abs=1e-12)
+    assert report.per_structure[2] == pytest.approx(0.99, abs=1e-12)
     assert report.mean_ap == pytest.approx(0.97, abs=1e-12)
     weighted = anatomy_preservation(seg_i, seg_p, weighted=True)
     assert weighted.mean_ap == pytest.approx((0.95 * 1000 + 0.99 * 100) / 1100, abs=1e-12)
@@ -97,7 +86,7 @@ def test_mean_is_unweighted_average():
 
 def test_volume_doubling_goes_negative_unclamped():
     report = anatomy_preservation(_cube_seg(100), _cube_seg(250))
-    assert report.per_structure["label-1"] == pytest.approx(-0.5, abs=1e-12)
+    assert report.per_structure[1] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_growth_and_shrink_bounded_above_by_one():
@@ -106,16 +95,30 @@ def test_growth_and_shrink_bounded_above_by_one():
         a = int(rng.integers(1, 500))
         b = int(rng.integers(0, 500))
         report = anatomy_preservation(_cube_seg(a), _cube_seg(b))
-        assert report.per_structure["label-1"] <= 1.0
+        assert report.per_structure[1] <= 1.0
         if b > 2 * a:
-            assert report.per_structure["label-1"] < 0.0
+            assert report.per_structure[1] < 0.0
 
 
 def test_zero_input_volume_raises():
-    seg_i = LabelVolume((4, 1, 1), (1, 1, 1), np.array([0, 0, 0, 1]), {1: "a", 2: "b"})
-    seg_p = LabelVolume((4, 1, 1), (1, 1, 1), np.array([2, 0, 0, 1]), {1: "a", 2: "b"})
+    # every present label has voxels, so only a voxel volume that
+    # underflows to 0.0 (1e-360 mm³) makes an input volume zero
+    spacing = (1e-120, 1e-120, 1e-120)
+    seg_i = LabelVolume((4, 1, 1), spacing, np.array([0, 0, 0, 1]))
+    seg_p = LabelVolume((4, 1, 1), spacing, np.array([2, 0, 0, 1]))
+    assert seg_i.voxel_volume_mm3 == 0.0
     with pytest.raises(ZeroInputVolume):
         anatomy_preservation(seg_i, seg_p)
+
+
+def test_structure_erased_from_the_prediction_is_not_scored():
+    # label 2 is in the input only: the mean is label 1's AP alone
+    seg_i = _seg([1, 1, 1, 1, 2, 2, 0, 0])
+    seg_p = _seg([1, 1, 1, 0, 0, 0, 0, 0])
+    report = anatomy_preservation(seg_i, seg_p)
+    assert list(report.per_structure) == [1]
+    assert report.mean_ap == report.per_structure[1] == 0.75
+    assert anatomy_preservation(seg_i, seg_p, weighted=True).mean_ap == 0.75
 
 
 def test_no_common_structures_raises():
@@ -138,13 +141,11 @@ def test_relabeling_permutation_invariance(perm):
     labels = rng.integers(0, 4, size=10 ** 3)
     mapping = {0: 0, 1: perm[0], 2: perm[1], 3: perm[2]}
     relabeled = np.vectorize(mapping.get)(labels)
-    legend = {1: "a", 2: "b", 3: "c"}
-    relabeled_legend = {mapping[k]: v for k, v in legend.items()}
-    seg_a = LabelVolume((10, 10, 10), (1, 1, 1), labels, legend)
-    seg_b = LabelVolume((10, 10, 10), (1, 1, 1), relabeled, relabeled_legend)
+    seg_a = LabelVolume((10, 10, 10), (1, 1, 1), labels)
+    seg_b = LabelVolume((10, 10, 10), (1, 1, 1), relabeled)
     report_a = anatomy_preservation(seg_a, seg_a)
     report_b = anatomy_preservation(seg_b, seg_b)
-    assert report_a.per_structure == report_b.per_structure
+    assert {mapping[k]: v for k, v in report_a.per_structure.items()} == report_b.per_structure
 
 
 @given(st.floats(0.1, 10.0, allow_nan=False))
@@ -155,29 +156,24 @@ def test_common_spacing_factor_cancels(factor):
     labels_p = rng.integers(0, 3, size=8 ** 3)
     base = (1.0, 1.2, 0.8)
     scaled = tuple(s * factor for s in base)
-    legend = {1: "a", 2: "b"}
     r1 = anatomy_preservation(
-        LabelVolume((8, 8, 8), base, labels_i, legend),
-        LabelVolume((8, 8, 8), base, labels_p, legend),
+        LabelVolume((8, 8, 8), base, labels_i),
+        LabelVolume((8, 8, 8), base, labels_p),
     )
     r2 = anatomy_preservation(
-        LabelVolume((8, 8, 8), scaled, labels_i, legend),
-        LabelVolume((8, 8, 8), scaled, labels_p, legend),
+        LabelVolume((8, 8, 8), scaled, labels_i),
+        LabelVolume((8, 8, 8), scaled, labels_p),
     )
-    for name in r1.per_structure:
-        assert r1.per_structure[name] == pytest.approx(r2.per_structure[name], abs=1e-12)
+    for label in r1.per_structure:
+        assert r1.per_structure[label] == pytest.approx(r2.per_structure[label], abs=1e-12)
 
 
 def test_as_label_volume_conversion():
     grid = VoxelGrid((2, 2, 1), (1, 1, 1), [0.0, 1.0, 2.0, 1.0])
     seg = as_label_volume(grid)
-    assert seg.legend == {1: "label-1", 2: "label-2"}
-    seg_named = as_label_volume(grid, {1: "GM", 2: "WM"})
-    assert seg_named.legend == {1: "GM", 2: "WM"}
+    assert seg.voxel_counts == {1: 2, 2: 1}
     with pytest.raises(ValueError):
         as_label_volume(VoxelGrid((1, 1, 1), (1, 1, 1), [0.5]))
-    with pytest.raises(ValueError):
-        as_label_volume(grid, {1: "GM"})  # label 2 unnamed
 
 
 @given(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2 ** 40)), min_size=1, max_size=64))
@@ -189,7 +185,6 @@ def test_voxel_counts_match_unique_oracle(values):
     expected = {int(v): int(c) for v, c in zip(present, counts) if v != 0}
     assert seg.voxel_counts == expected
     assert list(seg.voxel_counts) == sorted(expected)
-    assert seg.legend == {k: f"label-{k}" for k in expected}
 
 
 @given(
@@ -245,8 +240,7 @@ def test_huge_sparse_label_counted_without_a_table_that_large():
     labels[5:7] = 3
     seg = LabelVolume((4, 4, 4), (1, 1, 1), labels)
     assert seg.voxel_counts == {3: 2, 2 ** 40: 5}
-    vols = {s.label: s.volume_mm3 for s in structure_volumes(seg)}
-    assert vols == {3: 2.0, 2 ** 40: 5.0}
+    assert structure_volumes(seg) == {3: 2.0, 2 ** 40: 5.0}
 
 
 @pytest.mark.parametrize("bad", [0.5, -1.0, 1e300, 2.0 ** 63])

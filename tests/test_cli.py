@@ -127,6 +127,66 @@ def test_ap_subcommand(tmp_path, capsys):
     assert doc["mean_ap"] == pytest.approx(0.95)
 
 
+@pytest.fixture()
+def doubled_pair(tmp_path):
+    """A 4^3 pair: label 1 keeps its 8 voxels, label 2 doubles from 8 to 16."""
+    seg_i = np.zeros(4 ** 3)
+    seg_i[:8] = 1
+    seg_i[8:16] = 2
+    seg_p = seg_i.copy()
+    seg_p[16:24] = 2
+    _write_grid(tmp_path / "si.nii", seg_i, (4, 4, 4))
+    _write_grid(tmp_path / "sp.nii", seg_p, (4, 4, 4))
+    return ["--seg-input", str(tmp_path / "si.nii"), "--seg-pred", str(tmp_path / "sp.nii")]
+
+
+def test_ap_scores_each_label_whatever_the_names(doubled_pair, capsys):
+    assert run(["ap", "--json", *doubled_pair, "--labels", "1=GM,2=WM"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"per_structure": {"GM": 1.0, "WM": 0.0}, "mean_ap": 0.5}
+    assert run(["ap", "--json", "--weighted", *doubled_pair, "--labels", "1=GM,2=WM"]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_ap"] == 0.5
+
+
+@pytest.mark.parametrize("legend", [
+    "1=GM,2=GM",  # one name for two structures would merge their scores
+    "1,2=label-1",
+    "1=GM,1=WM",
+    "0=BG,1=GM,2=WM",
+    "-1=X,1=GM,2=WM",
+])
+def test_ap_legend_naming_twice_or_below_one_is_usage_error(doubled_pair, capsys, legend):
+    assert run(["ap", *doubled_pair, f"--labels={legend}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --labels: " in err
+
+
+def test_ap_names_only_what_it_prints(doubled_pair, tmp_path, capsys):
+    assert run(["ap", *doubled_pair]) == 0
+    assert capsys.readouterr().out == "label-1\t1.0\nlabel-2\t0.0\nmean_ap\t0.5\n"
+    assert run(["ap", *doubled_pair, "--labels", "2=WM,1=GM,7=X"]) == 0
+    assert capsys.readouterr().out == "GM\t1.0\nWM\t0.0\nmean_ap\t0.5\n"
+    # a legend must name every label present, checked one segmentation at a time
+    assert run(["ap", *doubled_pair, "--labels", "1=GM"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValueError: labels [2] present in volume but absent from legend\n"
+    )
+    extra = np.zeros(4 ** 3)
+    extra[:8] = 1
+    extra[8:16] = 3
+    _write_grid(tmp_path / "extra.nii", extra, (4, 4, 4))
+    seg_input = doubled_pair[:2]
+    assert run(["ap", *seg_input, "--seg-pred", str(tmp_path / "extra.nii"), "--labels", "1=GM,2=WM"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValueError: labels [3] present in volume but absent from legend\n"
+    )
+    # the input is checked before the prediction is read
+    missing = str(tmp_path / "missing.nii")
+    assert run(["ap", *seg_input, "--seg-pred", missing, "--labels", "1=GM"]) == 2
+    assert "labels [2] present in volume" in capsys.readouterr().err
+
+
 def test_refmetrics_identity_pair(volume_pair, capsys):
     code = run([
         "refmetrics", "--json",
@@ -224,7 +284,7 @@ def synth_manifest(tmp_path):
     ["--tol", "0.7"],
     ["--tol", "0"],
     ["--workers", "0"],
-    ["--labels", "1=GM,x"],
+    ["--labels", "1=GM"],  # removed from evaluate: only ap prints structure names
     ["--window", "4"],
     ["--k1", "nan"],
     ["--k2", "inf"],
@@ -378,8 +438,10 @@ def test_results_with_the_removed_exact_cap_line_still_read(synth_manifest, tmp_
     results = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(results)]) == 0
     old = tmp_path / "old.csv"
+    # and so do files written while evaluate took a legend
     old.write_text(results.read_text().replace(
-        "# tol:", f"# exact_cap: {2 ** 24}\n# tol:", 1))
+        "# tol:", f"# exact_cap: {2 ** 24}\n# tol:", 1).replace(
+        "# weighted_ap:", "# labels: 1=GM\n# weighted_ap:", 1))
     capsys.readouterr()
     for command in (["report", "--json"], ["corr", "--json"]):
         assert run([*command, "--in", str(results)]) == 0
@@ -388,6 +450,7 @@ def test_results_with_the_removed_exact_cap_line_still_read(synth_manifest, tmp_
         then = json.loads(capsys.readouterr().out)
         if command[0] == "report":
             assert then["meta"].pop("exact_cap") == str(2 ** 24)
+            assert then["meta"].pop("labels") == "1=GM"
         assert then == now
 
 

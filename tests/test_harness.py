@@ -399,9 +399,9 @@ def test_each_shared_file_read_and_converted_once(tiny_dataset, monkeypatch):
         loads[path.name] += 1
         return load(path)
 
-    def counted_convert(grid, legend=None):
+    def counted_convert(grid):
         conversions[grid.dims] += 1
-        return convert(grid, legend)
+        return convert(grid)
 
     monkeypatch.setattr(harness, "load_volume", counted_load)
     monkeypatch.setattr(harness, "as_label_volume", counted_convert)
