@@ -1,5 +1,6 @@
 """Volume I/O: header parsing, scaling, round trips, typed failures."""
 import gzip
+import io
 import math
 import tracemalloc
 import warnings
@@ -179,6 +180,7 @@ def test_gzip_header_is_platform_independent(tmp_path):
     assert head[:3] == b"\x1f\x8b\x08"  # deflate
     assert head[3] == 0  # no file name
     assert head[4:8] == b"\x00" * 4  # mtime
+    assert head[8] == 4  # XFL: fastest compression, as GzipFile writes at level 1
     assert head[9] == 0xFF  # OS unknown, not the build's
 
 
@@ -195,6 +197,86 @@ def test_write_peak_memory_stays_near_the_float32_image(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * image
+
+
+_CHUNK = nifti._ZERO_CHUNK // 4  # float32 voxels per spliced chunk
+_NOISE = np.random.default_rng(3).uniform(1, 100, _CHUNK).astype(np.float32)
+_PERIODIC = np.tile(np.arange(1, 251, dtype=np.float32), _CHUNK // 250 + 1)[:_CHUNK]
+
+
+def _chunks(*parts):
+    """One float32 chunk per part: "Z" all zero, "N" noise, "P" a short
+    period; a number is a tail of that many noise voxels, a multiple of 256."""
+    pick = {"Z": np.zeros(_CHUNK, np.float32), "N": _NOISE, "P": _PERIODIC}
+    return np.concatenate([pick[p] if isinstance(p, str) else _NOISE[:p] for p in parts])
+
+
+def _row_grid(values):
+    return VoxelGrid((256, values.size // 256, 1), (1, 1, 1), values)
+
+
+def _negative_zero_chunk():
+    values = _chunks("Z", "Z", "Z")
+    values[_CHUNK + 1235] = -0.0  # the sign bit of a float64 word too
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _chunks("Z", "N", "Z", "N", "Z"),
+        _chunks("Z", "Z", "Z"),
+        _chunks("Z"),
+        _chunks("Z", 256),
+        _chunks("N"),
+        _chunks("N", 768),
+        _negative_zero_chunk(),
+        # without a full flush before the splice, the second run would match into the first
+        _chunks("P", "Z", "Z", "P"),
+    ],
+    ids=["zero-start-middle-end", "all-zero", "one-zero-chunk", "zero-chunk-and-tail",
+         "one-chunk", "chunk-and-tail", "negative-zero", "same-data-across-a-zero-run"],
+)
+def test_zero_chunk_splice_round_trips(tmp_path, values):
+    grid = _row_grid(values)
+    write_volume(grid, tmp_path / "v.nii")
+    write_volume(grid, tmp_path / "v.nii.gz")
+    assert gzip.decompress((tmp_path / "v.nii.gz").read_bytes()) == (tmp_path / "v.nii").read_bytes()
+    back = load_volume(tmp_path / "v.nii.gz")
+    assert back == grid
+    np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
+
+
+def test_spliced_file_inflates_in_one_zlib_call(tmp_path, monkeypatch):
+    grid = _row_grid(_chunks("Z", "N", "Z", "Z", "P"))
+    write_volume(grid, tmp_path / "s.nii.gz")
+
+    def member_by_member(buf):
+        raise AssertionError("fell back to the member-by-member decode")
+
+    monkeypatch.setattr(nifti.gzip, "decompress", member_by_member)
+    assert load_volume(tmp_path / "s.nii.gz") == grid
+
+
+def test_each_zero_chunk_is_one_copy_of_the_deflated_block(tmp_path):
+    grid = _row_grid(_chunks("N", "Z", "Z", "N"))
+    write_volume(grid, tmp_path / "s.nii.gz")
+    spliced = (tmp_path / "s.nii.gz").read_bytes()
+    # the two zero chunks are two copies of the precompressed block
+    assert spliced.count(nifti._deflated_zero_chunk()) == 2
+
+
+def test_no_zero_chunk_writes_what_gzipfile_writes(tmp_path):
+    # noise chunks with zero stretches shorter than a chunk, and a tail
+    values = _chunks("N", "Z", "N", 512)
+    values[2 * _CHUNK - 10] = 1.0
+    grid = _row_grid(values)
+    write_volume(grid, tmp_path / "v.nii")
+    write_volume(grid, tmp_path / "v.nii.gz")
+    out = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=out, compresslevel=1, mtime=0) as gz:
+        gz.write((tmp_path / "v.nii").read_bytes())
+    assert (tmp_path / "v.nii.gz").read_bytes() == out.getvalue()
 
 
 def test_big_endian_file_loads_identically(tmp_path):
