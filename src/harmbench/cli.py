@@ -20,11 +20,12 @@ from pathlib import Path
 
 from . import __version__
 from .anatomy import anatomy_preservation, as_label_volume
-from .distribution import ForegroundPolicy, extract_foreground
+from .distribution import ForegroundPolicy
 from .errors import NoSuccessfulRows
 from .harness import (
     _RECORD_ERRORS,
     EvalConfig,
+    TripletRecord,
     emit_report,
     evaluate_all,
     load_manifest,
@@ -38,7 +39,6 @@ from .nifti import load_volume
 from .reference import SsimParams, paired_metrics
 from .stats import correlation_matrix
 from .synth import write_synthetic_dataset
-from .wasserstein import classify, nwd
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +113,16 @@ def label_legend(spec: str) -> dict[int, str] | None:
     return legend
 
 
+def _out_file(text: str) -> Path:
+    """``evaluate --out``: a file in an existing directory. Checked as the
+    flags are parsed, so before the --fg-mask volume or the manifest is
+    read."""
+    path = Path(text)
+    if path.is_dir() or not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"{path}: not a file in an existing directory")
+    return path
+
+
 def _add_ap_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weighted", dest="weighted_ap", action="store_true",
                    help="weight the mean by input volume (not the reporting default)")
@@ -149,16 +159,25 @@ def _config(ns) -> EvalConfig:
 
 
 def _cmd_wd(ns, config: EvalConfig) -> int:
-    paths = (ns.input, ns.target, ns.pred)
-    pair = nwd(*(extract_foreground(load_volume(p), config.policy) for p in paths))
-    verdict = classify(pair, config.tol)
+    """A one-row ``evaluate``: the triplet takes the harness's record
+    path, and a failed row's status is the one stderr line."""
+    record = TripletRecord(
+        id="wd", input_path=ns.input, target_path=ns.target, pred_path=ns.pred,
+        site_in="", site_out="",
+    )
+    try:
+        (row,) = evaluate_all([record], config)
+    except NoSuccessfulRows as exc:
+        print(exc.rows[0].status, file=sys.stderr)
+        return 2
+    pair = row.wd
     fields = [
         ("wd_ip", pair.wd_ip),
         ("wd_tp", pair.wd_tp),
         ("wd_it", pair.wd_it),
         ("nwd_ip", pair.nwd_ip),
         ("nwd_tp", pair.nwd_tp),
-        ("verdict", verdict.kind.value),
+        ("verdict", row.verdict.kind.value),
     ]
     if ns.json:
         _print_json(dict(fields))
@@ -221,8 +240,6 @@ def _cmd_corr(ns, config: EvalConfig) -> int:
 
 
 def _cmd_evaluate(ns, config: EvalConfig) -> int:
-    if ns.out and (ns.out.is_dir() or not ns.out.parent.is_dir()):
-        raise _UsageError(f"--out {ns.out}: not a file in an existing directory")
     records = load_manifest(ns.manifest)
     meta = {"version": __version__, **config.to_meta()}
     if ns.fg_mask:
@@ -244,8 +261,6 @@ def _cmd_evaluate(ns, config: EvalConfig) -> int:
 
 
 def _cmd_synth(ns, config: EvalConfig) -> int:
-    if ns.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {ns.n}")
     try:
         manifest = write_synthetic_dataset(
             ns.out, sites=ns.sites, n=ns.n, seed=ns.seed, size=ns.size
@@ -315,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run every metric over a manifest")
     p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--out", type=Path, default=None, help="per-row results CSV")
+    p.add_argument("--out", type=_out_file, default=None, help="per-row results CSV")
     p.add_argument("--report", choices=["md", "markdown", "csv", "json"], default="md")
     p.add_argument("--group-by", choices=["direction", "site_out"], default="direction")
     p.add_argument("--workers", type=int)

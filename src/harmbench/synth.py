@@ -217,15 +217,14 @@ def write_synthetic_dataset(
     phantom. Every random draw stays on this thread, so the bytes do not
     depend on the timing. The first failed write raises its ``IoFailure``
     once every started write has finished, and no manifest is written.
-    ``n=0`` writes the segmentation and a manifest without rows. A
-    setting no dataset can use (fewer than 2 sites, a negative ``n`` or
-    seed, a size the structures do not fit) raises ``ValueError`` before
-    ``out_dir`` is created.
+    A setting no dataset can use (fewer than 2 sites, fewer than 1
+    triplet, a negative seed, a size the structures do not fit) raises
+    ``ValueError`` before ``out_dir`` is created.
     """
     if sites < 2:
         raise ValueError(f"need at least 2 sites, got {sites}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
     def anatomy_seed(k: int, role: int) -> int:
         return seed * 1_000_003 + 2 * k + role

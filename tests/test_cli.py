@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import harmbench
 from harmbench.cli import run
+from harmbench.harness import load_manifest, read_results
 from harmbench.nifti import write_volume
 from harmbench.volume import VoxelGrid
 
+from golden_dataset import GOLDEN, build_dataset
 from nifti_fixtures import corrupt_deflate
 
 
@@ -325,6 +327,16 @@ def test_unusable_out_is_usage_error_before_any_record(tmp_path, capsys, out):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-directory", "m.csv"]
 
 
+def test_unusable_out_is_rejected_before_the_fg_mask_is_read(tmp_path, capsys):
+    # the mask is missing too: reading it first would exit 2
+    code = run(["evaluate", "--manifest", str(tmp_path / "m.csv"),
+                "--out", str(tmp_path / "missing" / "r.csv"),
+                "--fg-mask", str(tmp_path / "nope.nii")])
+    assert code == 1
+    assert "--out" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("setting", [
     ["--sites", "1"],
     ["--size", "0"],
@@ -349,8 +361,6 @@ def test_results_file_identical_across_worker_counts(synth_manifest, tmp_path, c
 
 
 def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
-    from harmbench.harness import load_manifest, read_results
-
     mask = synth_manifest.parent / "seg.nii.gz"
     plain, masked = tmp_path / "plain.csv", tmp_path / "masked.csv"
     assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(plain)]) == 0
@@ -375,6 +385,69 @@ def test_evaluate_honours_fg_mask_like_wd(synth_manifest, tmp_path, capsys):
     )
     assert {k: masked_row[k] for k in keys} == {k: wd[k] for k in keys}
     assert {k: plain_row[k] for k in keys} != {k: wd[k] for k in keys}
+
+
+_WD_KEYS = ("wd_ip", "wd_tp", "wd_it", "nwd_ip", "nwd_tp", "verdict")
+
+
+@pytest.fixture(scope="module")
+def golden_dataset(tmp_path_factory):
+    dataset = tmp_path_factory.mktemp("golden") / "dataset"
+    build_dataset(dataset)
+    return dataset
+
+
+@pytest.mark.parametrize(
+    "row",
+    [row for row in read_results(GOLDEN / "results.csv")[1] if not row["channel"]],
+    ids=lambda row: row["id"],
+)
+def test_wd_prints_its_triplets_golden_row(golden_dataset, row, monkeypatch, capsys):
+    # wd is a one-row evaluate: the row's cells, or its status as the one
+    # error line; relative paths, as the golden statuses were written with
+    monkeypatch.chdir(golden_dataset)
+    rec = next(r for r in load_manifest("manifest.csv") if r.id == row["id"])
+    argv = ["wd", "--input", str(rec.input_path), "--target", str(rec.target_path),
+            "--pred", str(rec.pred_path)]
+    for json_flag in ([], ["--json"]):
+        code = run(argv + json_flag)
+        out, err = capsys.readouterr()
+        if row["status"] != "ok":
+            assert (code, out, err) == (2, "", row["status"] + "\n")
+        elif json_flag:
+            assert (code, err) == (0, "")
+            cells = {k: row[k] if k == "verdict" else float(row[k]) for k in _WD_KEYS}
+            assert out == json.dumps(cells) + "\n"
+        else:
+            assert (code, err) == (0, "")
+            assert out == "".join(f"{k}\t{row[k]}\n" for k in _WD_KEYS)
+
+
+@pytest.mark.parametrize("role, four_d", [
+    ("input", "four_d_in.nii"), ("target", "four_d_tg.nii"), ("pred", "four_d_pr.nii"),
+])
+def test_wd_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset, role, four_d, monkeypatch, capsys):
+    monkeypatch.chdir(golden_dataset)
+    files = {"input": "float_pr.nii", "target": "float_tg.nii", "pred": "float_pr.nii", role: four_d}
+    code = run(["wd", *(arg for r, name in files.items() for arg in (f"--{r}", name))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and four_d in err
+
+
+def test_wd_reads_a_file_named_twice_once(volume_pair, monkeypatch, capsys):
+    from harmbench import harness
+
+    loaded, load = [], harness.load_volume
+
+    def load_volume(path):
+        loaded.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(harness, "load_volume", load_volume)
+    a, b = str(volume_pair / "a.nii"), str(volume_pair / "b.nii")
+    assert run(["wd", "--input", a, "--target", b, "--pred", a]) == 0
+    assert sorted(loaded) == ["a.nii", "b.nii"]
 
 
 def test_corr_unknown_column_is_usage_error(tmp_path, capsys):

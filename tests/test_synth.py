@@ -263,7 +263,7 @@ def test_dataset_alternates_directions(tmp_path):
     assert "A,B" in text and "B,A" in text
 
 
-@pytest.mark.parametrize("sites, n", [(3, 5), (2, 0)])
+@pytest.mark.parametrize("sites, n", [(3, 5)])
 def test_dataset_equals_the_serial_loop_byte_for_byte(tmp_path, sites, n):
     write_synthetic_dataset(tmp_path / "pipelined", sites=sites, n=n, seed=7, size=24)
     synthetic_dataset_serial(tmp_path / "serial", sites=sites, n=n, seed=7, size=24)
@@ -272,6 +272,13 @@ def test_dataset_equals_the_serial_loop_byte_for_byte(tmp_path, sites, n):
     assert len(names) == 4 * n + 2  # the segmentation and the manifest too
     for name in names:
         assert (tmp_path / "pipelined" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+
+
+def test_dataset_without_triplets_raises_before_out_is_created(tmp_path):
+    # a manifest without rows is one load_manifest rejects
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        write_synthetic_dataset(tmp_path / "d", sites=2, n=0, seed=7, size=24)
+    assert not (tmp_path / "d").exists()
 
 
 def test_failed_write_raises_and_leaves_no_manifest_or_thread(tmp_path):
