@@ -36,10 +36,10 @@ from .harness import (
 )
 from .nifti import NiftiHeader, load_volume, parse_header, write_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
-from .stats import CorrelationMatrix, MetricSeries, correlation_matrix, mean_std, spearman
+from .stats import CorrelationMatrix, correlation_matrix, mean_std, spearman
 from .synth import PhantomSpec, SiteTransform, Sphere, generate_phantom, histogram_match, write_synthetic_dataset
 from .volume import LabelVolume, VoxelGrid
-from .wasserstein import HarmonizationVerdict, Verdict, WdPair, classify, nwd, wasserstein_1d
+from .wasserstein import Verdict, WdPair, classify, nwd, wasserstein_1d
 
 __all__ = [
     "__version__",
@@ -51,8 +51,8 @@ __all__ = [
     "read_results", "row_cells", "summarize",
     "NiftiHeader", "load_volume", "parse_header", "write_volume",
     "PairedMetricRow", "SsimParams", "paired_metrics",
-    "CorrelationMatrix", "MetricSeries", "correlation_matrix", "mean_std", "spearman",
+    "CorrelationMatrix", "correlation_matrix", "mean_std", "spearman",
     "PhantomSpec", "SiteTransform", "Sphere", "generate_phantom", "histogram_match", "write_synthetic_dataset",
     "LabelVolume", "VoxelGrid",
-    "HarmonizationVerdict", "Verdict", "WdPair", "classify", "nwd", "wasserstein_1d",
+    "Verdict", "WdPair", "classify", "nwd", "wasserstein_1d",
 ]

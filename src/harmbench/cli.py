@@ -26,6 +26,7 @@ from .harness import (
     _RECORD_ERRORS,
     EvalConfig,
     TripletRecord,
+    _single_channel,
     emit_report,
     evaluate_all,
     load_manifest,
@@ -79,12 +80,14 @@ def _print_pairs(pairs: list[tuple[str, object]]) -> None:
 
 
 def _add_fg_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+    # a mask replaces the threshold, so the two are never given together
+    g = p.add_mutually_exclusive_group()
+    g.add_argument(
         "--bg-threshold",
         type=float,
         help="foreground keeps intensities strictly above this (default 0)",
     )
-    p.add_argument("--fg-mask", type=Path, default=None,
+    g.add_argument("--fg-mask", type=Path, default=None,
                    help="label volume; nonzero voxels are foreground")
 
 
@@ -177,7 +180,7 @@ def _cmd_wd(ns, config: EvalConfig) -> int:
         ("wd_it", pair.wd_it),
         ("nwd_ip", pair.nwd_ip),
         ("nwd_tp", pair.nwd_tp),
-        ("verdict", row.verdict.kind.value),
+        ("verdict", row.verdict.value),
     ]
     if ns.json:
         _print_json(dict(fields))
@@ -206,7 +209,8 @@ def _cmd_ap(ns, config: EvalConfig) -> int:
 
 
 def _cmd_refmetrics(ns, config: EvalConfig) -> int:
-    row = paired_metrics(load_volume(ns.pred), load_volume(ns.gt), config.policy, config.ssim)
+    pred, gt = (_single_channel(load_volume(path), path, None) for path in (ns.pred, ns.gt))
+    row = paired_metrics(pred, gt, config.policy, config.ssim)
     fields = [("ssim", row.ssim), ("psnr", row.psnr_db), ("mae", row.mae), ("mse", row.mse)]
     if ns.json:
         _print_json(dict(fields))
@@ -223,9 +227,10 @@ def _cmd_corr(ns, config: EvalConfig) -> int:
     unknown = [n for n in dict.fromkeys(row_names + col_names) if raw and n not in raw[0]]
     if unknown:
         raise _UsageError(f"not a column of {ns.in_path}: {', '.join(unknown)}")
-    rows = [series_from_rows(raw, name) for name in row_names]
-    cols = [series_from_rows(raw, name) for name in col_names]
-    matrix = correlation_matrix(rows, cols)
+    matrix = correlation_matrix(
+        {name: series_from_rows(raw, name) for name in row_names},
+        {name: series_from_rows(raw, name) for name in col_names},
+    )
     if ns.json:
         _print_json({
             "rows": list(matrix.row_names),

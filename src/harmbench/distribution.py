@@ -21,7 +21,8 @@ class ForegroundPolicy:
     """How to decide which voxels are tissue.
 
     Without a ``mask``, voxels with intensity strictly greater than
-    ``threshold`` are kept; with one, voxels whose mask label is nonzero.
+    ``threshold`` are kept; with one, voxels whose mask label is nonzero,
+    and the threshold, which it replaces, stays 0.
     """
 
     threshold: float = 0.0
@@ -30,6 +31,10 @@ class ForegroundPolicy:
     def __post_init__(self):
         if not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+        if self.mask is not None and self.threshold != 0.0:
+            raise ValueError(
+                f"a mask replaces the threshold, which must stay 0, got {self.threshold!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

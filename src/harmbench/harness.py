@@ -23,6 +23,8 @@ from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .anatomy import ApReport, anatomy_preservation, as_label_volume
 from .distribution import ForegroundPolicy, extract_foreground
 from .errors import (
@@ -35,15 +37,9 @@ from .errors import (
 )
 from .nifti import load_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
-from .stats import MetricSeries, mean_std, sentinel_count
+from .stats import mean_std, sentinel_count
 from .volume import VoxelGrid
-from .wasserstein import (
-    DEFAULT_VERDICT_TOL,
-    HarmonizationVerdict,
-    WdPair,
-    classify,
-    nwd,
-)
+from .wasserstein import DEFAULT_VERDICT_TOL, Verdict, WdPair, classify, nwd
 
 REQUIRED_COLUMNS = ("id", "input_path", "target_path", "pred_path", "site_in", "site_out")
 
@@ -125,7 +121,7 @@ class EvaluationRow:
     channel: int | None
     status: str
     wd: WdPair | None = None
-    verdict: HarmonizationVerdict | None = None
+    verdict: Verdict | None = None
     ap: ApReport | None = None
     reference: PairedMetricRow | None = None
 
@@ -531,12 +527,11 @@ def summarize(rows: Iterable[dict[str, str]], group_by: str = "direction") -> li
             values = [float(row[metric]) for row in by_group[key] if row.get(metric)]
             if not values:
                 continue
-            series = MetricSeries(metric, values)
-            sentinels = sentinel_count(series)
+            sentinels = sentinel_count(values)
             if sentinels == len(values):
                 columns[metric] = MetricSummary(None, None, 0, sentinels)
             else:
-                mean, std = mean_std(series)
+                mean, std = mean_std(values)
                 columns[metric] = MetricSummary(mean, std, len(values) - sentinels, sentinels)
         tables.append(SummaryTable(group=key, metrics=columns))
     return tables
@@ -669,7 +664,7 @@ def row_cells(row: EvaluationRow) -> dict[str, str]:
         "wd_tp": cell(wd, "wd_tp"),
         "nwd_ip": cell(wd, "nwd_ip"),
         "nwd_tp": cell(wd, "nwd_tp"),
-        "verdict": "" if row.verdict is None else row.verdict.kind.value,
+        "verdict": "" if row.verdict is None else row.verdict.value,
         "ap": cell(row.ap, "mean_ap"),
         "ssim": cell(ref, "ssim"),
         "psnr": cell(ref, "psnr_db"),
@@ -719,13 +714,11 @@ def read_results(path: str | Path) -> tuple[dict, list[dict[str, str]]]:
     return meta, list(reader)
 
 
-def series_from_rows(
-    raw_rows: Sequence[dict[str, str]], name: str
-) -> MetricSeries:
-    """Metric column of a results CSV as a series; blanks become NaN so
-    they pair-drop in correlations."""
+def series_from_rows(raw_rows: Sequence[dict[str, str]], name: str) -> np.ndarray:
+    """The ``name`` column of a results CSV's rows as a float64 array;
+    blanks become NaN so they pair-drop in correlations."""
     values = []
     for row in raw_rows:
         cell = (row.get(name) or "").strip()
         values.append(float(cell) if cell else float("nan"))
-    return MetricSeries(name, values)
+    return np.array(values, dtype=np.float64)

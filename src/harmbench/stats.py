@@ -9,31 +9,12 @@ increasing transforms of either series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AllSentinels, LengthMismatch, ZeroRankVariance
 from .volume import _frozen_array
-
-
-@dataclass(frozen=True, eq=False)
-class MetricSeries:
-    """Named series of per-triplet values; may contain +inf sentinels."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if values.size < 1:
-            raise ValueError("series needs at least one value")
-        object.__setattr__(self, "values", _frozen_array(values))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetricSeries):
-            return NotImplemented
-        return self.name == other.name and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +37,11 @@ class CorrelationMatrix:
         object.__setattr__(self, "col_names", tuple(self.col_names))
 
 
-def _values(series: "MetricSeries | Sequence[float] | np.ndarray") -> np.ndarray:
-    if isinstance(series, MetricSeries):
-        return series.values
+def _values(series: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.asarray(series, dtype=np.float64).reshape(-1)
 
 
-def mean_std(series: "MetricSeries | Sequence[float] | np.ndarray") -> tuple[float, float]:
+def mean_std(series: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """(mean, sample std) over the finite values of a series.
 
     The n-1 denominator matches the usual reporting convention for small
@@ -77,7 +56,7 @@ def mean_std(series: "MetricSeries | Sequence[float] | np.ndarray") -> tuple[flo
     return mean, std
 
 
-def sentinel_count(series: "MetricSeries | Sequence[float] | np.ndarray") -> int:
+def sentinel_count(series: Sequence[float] | np.ndarray) -> int:
     values = _values(series)
     return int(np.size(values) - np.count_nonzero(np.isfinite(values)))
 
@@ -96,8 +75,8 @@ def rank_average_ties(values: np.ndarray) -> np.ndarray:
 
 
 def spearman(
-    x: "MetricSeries | Sequence[float] | np.ndarray",
-    y: "MetricSeries | Sequence[float] | np.ndarray",
+    x: Sequence[float] | np.ndarray,
+    y: Sequence[float] | np.ndarray,
 ) -> float:
     """Rank correlation with average-rank ties; sentinel pairs dropped."""
     xv, yv = _values(x), _values(y)
@@ -120,18 +99,19 @@ def spearman(
 
 
 def correlation_matrix(
-    rows: Sequence[MetricSeries], cols: Sequence[MetricSeries]
+    rows: Mapping[str, Sequence[float] | np.ndarray],
+    cols: Mapping[str, Sequence[float] | np.ndarray],
 ) -> CorrelationMatrix:
-    """Pairwise rank correlations; undefined cells (all-tied series) are NaN."""
+    """Rank correlation of each row series against each column series.
+
+    The matrix's rows and columns are named by the keys of ``rows`` and
+    ``cols``, in their order. Undefined cells (all-tied series) are NaN.
+    """
     rho = np.full((len(rows), len(cols)), np.nan)
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
+    for i, r in enumerate(rows.values()):
+        for j, c in enumerate(cols.values()):
             try:
                 rho[i, j] = spearman(r, c)
             except ZeroRankVariance:
                 pass
-    return CorrelationMatrix(
-        row_names=tuple(r.name for r in rows),
-        col_names=tuple(c.name for c in cols),
-        rho=rho,
-    )
+    return CorrelationMatrix(row_names=tuple(rows), col_names=tuple(cols), rho=rho)

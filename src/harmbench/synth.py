@@ -218,7 +218,8 @@ def write_synthetic_dataset(
     depend on the timing. The first failed write raises its ``IoFailure``
     once every started write has finished, and no manifest is written.
     A setting no dataset can use (fewer than 2 sites, fewer than 1
-    triplet, a negative seed, a size the structures do not fit) raises
+    triplet, a seed whose anatomy seeds leave the Philox key range
+    [0, 2**128), a size the structures do not fit) raises
     ``ValueError`` before ``out_dir`` is created.
     """
     if sites < 2:
@@ -229,11 +230,12 @@ def write_synthetic_dataset(
     def anatomy_seed(k: int, role: int) -> int:
         return seed * 1_000_003 + 2 * k + role
 
-    # Building the specs checks the geometry and the seed before
-    # anything is written.
+    # Building the specs checks the geometry and the seeds, the first
+    # and the largest, before anything is written.
     dims = (size, size, size)
     first = PhantomSpec(dims, anatomy_seed(0, 0), _structures(dims))
     structures = first.structures
+    PhantomSpec(dims, anatomy_seed(n - 1, 1), structures)
     # the target is a different "subject": slightly larger structures, so
     # its foreground count differs and matching actually interpolates
     target_structures = PhantomSpec(

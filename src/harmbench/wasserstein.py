@@ -192,12 +192,6 @@ class Verdict(str, Enum):
     OVER_CORRECTED = "OverCorrected"
 
 
-@dataclass(frozen=True)
-class HarmonizationVerdict:
-    kind: Verdict
-    tolerance: float
-
-
 def nwd(
     input_dist: EmpiricalDistribution,
     target_dist: EmpiricalDistribution,
@@ -228,8 +222,8 @@ def nwd(
     )
 
 
-def classify(pair: WdPair, tol: float = DEFAULT_VERDICT_TOL) -> HarmonizationVerdict:
-    """Band classification of a normalized pair.
+def classify(pair: WdPair, tol: float = DEFAULT_VERDICT_TOL) -> Verdict:
+    """The verdict band of a normalized pair.
 
     Bands around the two landmark points (0, 1) and (1, 0) have
     half-width ``tol``; anything beyond 1 + tol on the input axis is
@@ -239,11 +233,9 @@ def classify(pair: WdPair, tol: float = DEFAULT_VERDICT_TOL) -> HarmonizationVer
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tol must be in (0, 0.5), got {tol!r}")
     if pair.nwd_ip <= tol and abs(pair.nwd_tp - 1.0) <= tol:
-        kind = Verdict.NO_HARMONIZATION
-    elif abs(pair.nwd_ip - 1.0) <= tol and pair.nwd_tp <= tol:
-        kind = Verdict.PERFECT
-    elif pair.nwd_ip > 1.0 + tol:
-        kind = Verdict.OVER_CORRECTED
-    else:
-        kind = Verdict.PARTIAL
-    return HarmonizationVerdict(kind=kind, tolerance=tol)
+        return Verdict.NO_HARMONIZATION
+    if abs(pair.nwd_ip - 1.0) <= tol and pair.nwd_tp <= tol:
+        return Verdict.PERFECT
+    if pair.nwd_ip > 1.0 + tol:
+        return Verdict.OVER_CORRECTED
+    return Verdict.PARTIAL

@@ -93,7 +93,7 @@ def test_normalized_pair_identities():
     pair = nwd(_u([0.0]), _u([10.0]), _u([12.0]))
     assert abs(pair.nwd_ip - 1.2) <= 1e-12
     assert abs(pair.nwd_tp - 0.2) <= 1e-12
-    assert classify(pair, 0.05).kind is Verdict.OVER_CORRECTED
+    assert classify(pair, 0.05) is Verdict.OVER_CORRECTED
     print("PASS normalized-pair-identities: (0,1), (1,0) exact; "
           "point-mass triple -> (1.2, 0.2) OverCorrected")
 
@@ -333,7 +333,7 @@ def test_full_suite_runtime_on_128_cube():
     ref = paired_metrics(grid_p, grid_gt, policy)
     elapsed = time.perf_counter() - start
 
-    assert verdict.kind is not Verdict.NO_HARMONIZATION
+    assert verdict is not Verdict.NO_HARMONIZATION
     assert ap_report.mean_ap == 1.0
     assert 0.0 <= ref.ssim <= 1.0
     assert elapsed < 5.0, f"metric suite took {elapsed:.2f}s"
@@ -376,7 +376,7 @@ def test_paper_claims_on_a_harmonization_ladder():
             values = grid_i.values + a * (matched.values - grid_i.values)
             grid_p = VoxelGrid(dims, grid_i.spacing, values)
             pairs[a] = nwd(d_i, d_t, extract_foreground(grid_p, policy))
-            assert classify(pairs[a]).kind is bands.get(a, Verdict.PARTIAL), (k, a, pairs[a])
+            assert classify(pairs[a]) is bands.get(a, Verdict.PARTIAL), (k, a, pairs[a])
             ref = paired_metrics(grid_p, grid_gt, policy)
             nwd_tp.append(pairs[a].nwd_tp)
             mae.append(ref.mae)

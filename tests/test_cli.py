@@ -352,6 +352,22 @@ def test_bad_synth_setting_is_usage_error_before_out_is_created(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["wd", "--input", "in.nii", "--target", "tg.nii", "--pred", "pr.nii"],
+    ["refmetrics", "--pred", "pr.nii", "--gt", "gt.nii"],
+    ["evaluate", "--manifest", "m.csv", "--out", "r.csv"],
+])
+def test_fg_mask_with_bg_threshold_is_usage_error_before_the_mask_is_read(tmp_path, monkeypatch, capsys, command):
+    # the mask replaces the threshold, so the pair would record a setting
+    # no value used; nothing exists here, so reading anything would exit 2
+    monkeypatch.chdir(tmp_path)
+    code = run([*command, "--bg-threshold", "1", "--fg-mask", "nope.nii"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "--fg-mask: not allowed with argument --bg-threshold" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_results_file_identical_across_worker_counts(synth_manifest, tmp_path, capsys):
     one, three = tmp_path / "w1.csv", tmp_path / "w3.csv"
     assert run(["evaluate", "--manifest", str(synth_manifest), "--out", str(one), "--workers", "1"]) == 0
@@ -433,6 +449,18 @@ def test_wd_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset, role, f
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and four_d in err
+
+
+@pytest.mark.parametrize("pred, gt", [
+    ("four_d_pr.nii", "float_tg.nii"), ("float_pr.nii", "four_d_tg.nii"),
+])
+def test_refmetrics_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset, pred, gt, monkeypatch, capsys):
+    monkeypatch.chdir(golden_dataset)
+    code = run(["refmetrics", "--pred", pred, "--gt", gt])
+    out, err = capsys.readouterr()
+    four_d = pred if pred.startswith("four_d") else gt
+    assert (code, out) == (2, "")
+    assert err == f"error: ValueError: {four_d} has 2 channels; manifest rows must set 'channel'\n"
 
 
 def test_wd_reads_a_file_named_twice_once(volume_pair, monkeypatch, capsys):

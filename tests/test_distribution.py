@@ -59,6 +59,13 @@ def test_mask_mode_and_dims_check():
         foreground_mask(grid, ForegroundPolicy(mask=bad))
 
 
+def test_mask_with_a_threshold_is_rejected():
+    # the mask replaces the threshold: one given beside it would be ignored
+    mask = LabelVolume((4, 1, 1), (1, 1, 1), np.array([1, 0, 0, 2]))
+    with pytest.raises(ValueError, match="must stay 0"):
+        ForegroundPolicy(threshold=1.0, mask=mask)
+
+
 def test_multichannel_grid_rejected():
     grid = VoxelGrid((2, 1, 1), (1, 1, 1), np.arange(4.0), channel_count=2)
     with pytest.raises(ValueError, match="single-channel"):

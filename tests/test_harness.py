@@ -44,7 +44,7 @@ from harmbench.harness import (
 from harmbench.nifti import load_volume, write_volume
 from harmbench.reference import PairedMetricRow
 from harmbench.volume import VoxelGrid
-from harmbench.wasserstein import HarmonizationVerdict, Verdict, WdPair
+from harmbench.wasserstein import Verdict, WdPair
 
 from golden_dataset import GOLDEN, build_dataset, golden_outputs
 from nifti_fixtures import corrupt_deflate
@@ -248,7 +248,7 @@ def test_identity_prediction_row(tiny_dataset):
     assert row.ok
     assert row.wd.nwd_ip == 0.0
     assert row.wd.nwd_tp == 1.0
-    assert row.verdict.kind is Verdict.NO_HARMONIZATION
+    assert row.verdict is Verdict.NO_HARMONIZATION
     # gt == pred here, so the reference block is the perfect-match row
     assert row.reference.mae == 0.0
     assert row.reference.ssim == 1.0
@@ -1039,7 +1039,7 @@ def _row(id, site_in, site_out, nwd_ip, nwd_tp, psnr=None):
         ref = PairedMetricRow(ssim=0.5, psnr_db=psnr, mae=0.1, mse=0.02)
     return row_cells(EvaluationRow(
         id=id, site_in=site_in, site_out=site_out, channel=None, status="ok",
-        wd=wd, verdict=HarmonizationVerdict(Verdict.PARTIAL, 0.05), reference=ref,
+        wd=wd, verdict=Verdict.PARTIAL, reference=ref,
     ))
 
 
@@ -1154,9 +1154,9 @@ def test_rows_csv_round_trip_and_determinism(tiny_dataset):
     assert raw[0]["verdict"] == "NoHarmonization"
     assert float(raw[0]["psnr"]) == math.inf
     series = series_from_rows(raw, "nwd_tp")
-    assert series.values[0] == 1.0
+    assert series[0] == 1.0
     blank = series_from_rows([{"nwd_tp": ""}], "nwd_tp")
-    assert math.isnan(blank.values[0])
+    assert math.isnan(blank[0])
 
 
 @pytest.mark.parametrize("workers", [1, 3])

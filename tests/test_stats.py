@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from harmbench.errors import AllSentinels, LengthMismatch, ZeroRankVariance
 from harmbench.stats import (
     CorrelationMatrix,
-    MetricSeries,
     correlation_matrix,
     mean_std,
     rank_average_ties,
@@ -22,7 +21,7 @@ from oracles import average_ranks_positional, spearman_direct
 
 
 def test_constant_series():
-    assert mean_std(MetricSeries("x", [1.0, 1.0, 1.0])) == (1.0, 0.0)
+    assert mean_std([1.0, 1.0, 1.0]) == (1.0, 0.0)
 
 
 def test_two_point_sample_std():
@@ -44,7 +43,7 @@ def test_seeded_gaussian_moments():
 
 
 def test_sentinels_excluded_and_counted():
-    series = MetricSeries("psnr", [10.0, math.inf, 20.0, math.inf])
+    series = [10.0, math.inf, 20.0, math.inf]
     assert sentinel_count(series) == 2
     mean, std = mean_std(series)
     assert mean == 15.0
@@ -156,14 +155,14 @@ def test_bounds_hold():
 
 
 def test_correlation_matrix_layout_and_nan_cells():
-    rows = [
-        MetricSeries("nwd_ip", [0.1, 0.5, 0.9, 0.7]),
-        MetricSeries("ap", [1.0, 1.0, 1.0, 1.0]),  # all tied -> undefined
-    ]
-    cols = [
-        MetricSeries("ssim", [0.2, 0.6, 0.8, 0.75]),
-        MetricSeries("mae", [0.9, 0.5, 0.2, 0.3]),
-    ]
+    rows = {
+        "nwd_ip": [0.1, 0.5, 0.9, 0.7],
+        "ap": [1.0, 1.0, 1.0, 1.0],  # all tied -> undefined
+    }
+    cols = {
+        "ssim": [0.2, 0.6, 0.8, 0.75],
+        "mae": [0.9, 0.5, 0.2, 0.3],
+    }
     m = correlation_matrix(rows, cols)
     assert m.row_names == ("nwd_ip", "ap")
     assert m.col_names == ("ssim", "mae")

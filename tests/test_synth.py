@@ -230,7 +230,7 @@ def test_matched_distribution_lands_on_reference():
     assert 0.0 < w <= 1e-3 * ref_range
     pair = nwd(da, db, dout)
     assert pair.nwd_tp < 0.05
-    assert classify(pair).kind is not Verdict.NO_HARMONIZATION
+    assert classify(pair) is not Verdict.NO_HARMONIZATION
 
 
 def test_matching_requires_foreground():
@@ -278,6 +278,16 @@ def test_dataset_without_triplets_raises_before_out_is_created(tmp_path):
     # a manifest without rows is one load_manifest rejects
     with pytest.raises(ValueError, match="n must be >= 1"):
         write_synthetic_dataset(tmp_path / "d", sites=2, n=0, seed=7, size=24)
+    assert not (tmp_path / "d").exists()
+
+
+def test_seed_past_the_key_range_at_the_last_triplet_raises_before_out_is_created(tmp_path):
+    # the first anatomy seed fits the Philox key range; the last target's,
+    # seed * 1_000_003 + 2 * 1513 + 1, is 2**128
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+        write_synthetic_dataset(
+            tmp_path / "d", sites=2, n=1514, seed=340281346076900232762676319402810, size=12
+        )
     assert not (tmp_path / "d").exists()
 
 

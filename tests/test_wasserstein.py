@@ -396,14 +396,14 @@ def test_no_harmonization_identity():
     i, t = _u([0, 1, 2]), _u([10, 11, 12])
     pair = nwd(i, t, i)
     assert (pair.nwd_ip, pair.nwd_tp) == (0.0, 1.0)
-    assert classify(pair).kind is Verdict.NO_HARMONIZATION
+    assert classify(pair) is Verdict.NO_HARMONIZATION
 
 
 def test_perfect_harmonization_identity():
     i, t = _u([0, 1, 2]), _u([10, 11, 12])
     pair = nwd(i, t, t)
     assert (pair.nwd_ip, pair.nwd_tp) == (1.0, 0.0)
-    assert classify(pair).kind is Verdict.PERFECT
+    assert classify(pair) is Verdict.PERFECT
 
 
 def test_point_mass_over_correction():
@@ -411,12 +411,12 @@ def test_point_mass_over_correction():
     assert pair.wd_ip == 12.0 and pair.wd_tp == 2.0 and pair.wd_it == 10.0
     assert pair.nwd_ip == pytest.approx(1.2, abs=1e-12)
     assert pair.nwd_tp == pytest.approx(0.2, abs=1e-12)
-    assert classify(pair, 0.05).kind is Verdict.OVER_CORRECTED
+    assert classify(pair, 0.05) is Verdict.OVER_CORRECTED
 
 
 def test_partial_band_matches_published_style_values():
     pair = WdPair(wd_ip=0.906, wd_tp=0.087, wd_it=1.0, nwd_ip=0.906, nwd_tp=0.087)
-    assert classify(pair, 0.05).kind is Verdict.PARTIAL
+    assert classify(pair, 0.05) is Verdict.PARTIAL
 
 
 def test_degenerate_normalizer_raises():
@@ -477,4 +477,4 @@ def test_verdict_tolerance_validation():
 )
 def test_verdict_band_edges(nwd_ip, nwd_tp, kind):
     pair = WdPair(nwd_ip, nwd_tp, 1.0, nwd_ip, nwd_tp)
-    assert classify(pair, 0.05).kind is kind
+    assert classify(pair, 0.05) is kind
