@@ -21,12 +21,12 @@ from pathlib import Path
 from . import __version__
 from .anatomy import anatomy_preservation, as_label_volume
 from .distribution import ForegroundPolicy
-from .errors import NoSuccessfulRows
 from .harness import (
     _RECORD_ERRORS,
     EvalConfig,
     TripletRecord,
     _single_channel,
+    _status,
     emit_report,
     evaluate_all,
     load_manifest,
@@ -168,10 +168,9 @@ def _cmd_wd(ns, config: EvalConfig) -> int:
         id="wd", input_path=ns.input, target_path=ns.target, pred_path=ns.pred,
         site_in="", site_out="",
     )
-    try:
-        (row,) = evaluate_all([record], config)
-    except NoSuccessfulRows as exc:
-        print(exc.rows[0].status, file=sys.stderr)
+    (row,) = evaluate_all([record], config)
+    if not row.ok:
+        print(row.status, file=sys.stderr)
         return 2
     pair = row.wd
     fields = [
@@ -249,15 +248,12 @@ def _cmd_evaluate(ns, config: EvalConfig) -> int:
     meta = {"version": __version__, **config.to_meta()}
     if ns.fg_mask:
         meta["fg_mask"] = str(ns.fg_mask)
-    try:
-        rows = evaluate_all(records, config)
-    except NoSuccessfulRows as exc:
-        if ns.out:
-            write_rows_csv(exc.rows, ns.out, meta)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = evaluate_all(records, config)
     if ns.out:
         write_rows_csv(rows, ns.out, meta)
+    if not any(row.ok for row in rows):
+        print(f"error: all {len(rows)} records failed; first: {rows[0].status}", file=sys.stderr)
+        return 2
     tables = summarize(map(row_cells, rows), ns.group_by)
     fmt = "json" if ns.json else ns.report
     sys.stdout.buffer.write(emit_report(tables, fmt, meta))
@@ -384,7 +380,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"{parser.prog} {ns.cmd}: error: {exc}", file=sys.stderr)
         return 1
     except _RECORD_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_status(exc), file=sys.stderr)
         return 2
 
 

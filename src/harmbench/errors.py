@@ -94,11 +94,7 @@ class UnreadableFile(HarmbenchError):
 
 
 class NoSuccessfulRows(HarmbenchError):
-    """Every record in the batch failed."""
-
-    def __init__(self, message: str, rows=None):
-        super().__init__(message)
-        self.rows = rows or []
+    """No row of a results file is ok, so there is nothing to summarize."""
 
 
 class UnsupportedFormat(HarmbenchError):

@@ -10,7 +10,6 @@ count and sentinel count carried alongside.
 """
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -231,7 +230,8 @@ def _single_channel(grid: VoxelGrid, path: Path, channel: int | None) -> VoxelGr
         return grid.channel(channel)
     if grid.channel_count != 1:
         raise ValueError(
-            f"{path} has {grid.channel_count} channels; manifest rows must set 'channel'"
+            f"{path} has {grid.channel_count} channels; score each with evaluate, "
+            "one manifest row per 'channel'"
         )
     return grid
 
@@ -243,11 +243,11 @@ class _SharedFiles:
     the file's spelling in the first row naming it:
 
     * ``("intensity", path)``: per channel the manifest asks of the file
-      (``None`` for a 3-D row), the error of selecting it or a
+      (``None`` for a 3-D row), the status of failing to select it or a
       (foreground, grid) pair, each ``None`` unless a row wants it: the
-      foreground, or the error of extracting it, for rows taking the file
-      as input, target or prediction; the grid for the gt metrics, of a
-      gt or of the prediction of a row with gt.
+      foreground, or the status of failing to extract it, for rows taking
+      the file as input, target or prediction; the grid for the gt
+      metrics, of a gt or of the prediction of a row with gt.
     * ``("seg", path)``, the label volume of a ``seg_*`` column.
 
     Each product is one future, made by whichever thread claims it
@@ -263,9 +263,10 @@ class _SharedFiles:
 
     Each use in the manifest is counted off once, when its record takes
     the product or ends; after the last, the product is dropped, and a
-    decode of it not yet started finds it gone. A failure is kept without
-    its frames and raised to every use it concerns, so they all get the
-    same status.
+    decode of it not yet started finds it gone. A failure is kept as the
+    status it gives, in place of the product or the entry it spoils, so
+    every use it concerns gets that same status and no exception outlives
+    the decode that caught it.
     """
 
     def __init__(self, records: Sequence[TripletRecord], config: EvalConfig, pool: ThreadPoolExecutor):
@@ -329,8 +330,6 @@ class _SharedFiles:
             future.set_running_or_notify_cancel()
         try:
             future.set_result(self._decode(key))
-        except _RECORD_ERRORS as exc:
-            future.set_exception(_without_frames(exc))
         except BaseException as exc:
             future.set_exception(exc)
             raise
@@ -338,22 +337,25 @@ class _SharedFiles:
 
     def _decode(self, key: tuple[str, str]):
         kind, path = key[0], self._path[key]
-        if kind == "seg":
-            return as_label_volume(load_volume(path))
-        volume = load_volume(path)
+        try:
+            if kind == "seg":
+                return as_label_volume(load_volume(path))
+            volume = load_volume(path)
+        except _RECORD_ERRORS as exc:
+            return _status(exc)
         entries = {}
         for channel, parts in self._wants[key].items():
             try:
                 grid = _single_channel(volume, path, channel)
             except _RECORD_ERRORS as exc:
-                entries[channel] = _without_frames(exc)
+                entries[channel] = _status(exc)
                 continue
             foreground = None
             if "foreground" in parts:
                 try:
                     foreground = extract_foreground(grid, self._config.policy)
                 except _RECORD_ERRORS as exc:
-                    foreground = _without_frames(exc)
+                    foreground = _status(exc)
             entries[channel] = (foreground, grid if "grid" in parts else None)
         return entries
 
@@ -370,9 +372,7 @@ class _SharedFiles:
         try:
             while not future.done() and self._make_own(owed):
                 pass
-            product = future.result()
-        except _RECORD_ERRORS as exc:
-            raise copy.copy(exc) from None  # a copy each time, see _or_raise
+            product = _or_raise(future.result())
         finally:
             owed[key] -= 1
             self.count_off({key: 1})
@@ -393,20 +393,19 @@ class _SharedFiles:
                     self._made.pop(key, None)
 
 
-def _without_frames(exc: BaseException) -> BaseException:
-    """``exc``, without its frames or its causes', which hold the file's bytes."""
-    cause = exc
-    while cause is not None and cause.__traceback__ is not None:
-        cause = cause.with_traceback(None).__cause__ or cause.__context__
-    return exc
+def _status(exc: BaseException) -> str:
+    """The status of a row that failed with ``exc``."""
+    return f"error: {type(exc).__name__}: {exc}"
+
+
+class _Failed(Exception):
+    """A kept failure's status, raised afresh to each use it concerns."""
 
 
 def _or_raise(value):
-    """``value``, unless it is a kept error, of which a copy is raised:
-    raising one instance again and again would chain every record's
-    frames onto its traceback."""
-    if isinstance(value, BaseException):
-        raise copy.copy(value) from None
+    """``value``, unless it is a kept failure's status."""
+    if isinstance(value, str):
+        raise _Failed(value)
     return value
 
 
@@ -442,8 +441,10 @@ def _evaluate_record(rec: TripletRecord, config: EvalConfig, files: _SharedFiles
         return EvaluationRow(
             **key, status="ok", wd=pair, verdict=verdict, ap=ap, reference=reference
         )
+    except _Failed as failed:
+        return EvaluationRow(**key, status=str(failed))
     except _RECORD_ERRORS as exc:
-        return EvaluationRow(**key, status=f"error: {type(exc).__name__}: {exc}")
+        return EvaluationRow(**key, status=_status(exc))
     finally:
         files.count_off(+owed)  # the uses the record did not take
 
@@ -462,19 +463,12 @@ def evaluate_all(records: Sequence[TripletRecord], config: EvalConfig = EvalConf
     record that would wait on a decode makes its own decodes not yet
     started instead, so at one worker two threads decode.
 
-    Per-record failures land in the row status, the first failure in
-    stage order ending the record. Raises
-    :class:`NoSuccessfulRows` (carrying the failed rows) only when every
-    single record failed.
+    Every record gives a row, failed or not: a failure lands in the row
+    status, the first failure in stage order ending the record.
     """
     with ThreadPoolExecutor(1) as decode, ThreadPoolExecutor(config.workers) as pool:
         files = _SharedFiles(records, config, decode)
-        rows = list(pool.map(lambda rec: _evaluate_record(rec, config, files), records))
-    if records and not any(r.ok for r in rows):
-        raise NoSuccessfulRows(
-            f"all {len(rows)} records failed; first: {rows[0].status}", rows=rows
-        )
-    return rows
+        return list(pool.map(lambda rec: _evaluate_record(rec, config, files), records))
 
 
 # ---------------------------------------------------------------- summaries

@@ -170,7 +170,7 @@ def histogram_match(
 
     out = source.values.astype(np.float64)
     out[src_fg] = mapped_unique[s_inverse]
-    return VoxelGrid(source.dims, source.spacing, out, channel_count=source.channel_count)
+    return VoxelGrid(source.dims, source.spacing, out)
 
 
 # --------------------------------------------------------------- dataset

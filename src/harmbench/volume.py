@@ -75,11 +75,6 @@ class VoxelGrid:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
     def channel(self, c: int) -> "VoxelGrid":
         """Single-channel view of channel ``c``."""
         if not 0 <= c < self.channel_count:
@@ -143,9 +138,6 @@ class LabelVolume:
     def voxel_volume_mm3(self) -> float:
         sx, sy, sz = self.spacing
         return sx * sy * sz
-
-    def as_array(self) -> np.ndarray:
-        return self.labels.reshape(self.dims, order="F")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelVolume):

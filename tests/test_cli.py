@@ -237,14 +237,21 @@ def test_evaluate_total_failure_exits_two(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_text(
         "id,input_path,target_path,pred_path,site_in,site_out\n"
-        "x,missing.nii,missing.nii,missing.nii,A,B\n"
+        "r0,missing.nii,missing.nii,missing.nii,A,B\n"
+        "r1,bad.nii,bad.nii,bad.nii,A,B\n"
     )
+    (tmp_path / "bad.nii").write_bytes(b"not a nifti file")
     results = tmp_path / "r.csv"
     code = run(["evaluate", "--manifest", str(manifest), "--out", str(results)])
-    assert code == 2
-    # the failed rows are still persisted for diagnosis
-    assert results.exists()
-    assert "error" in results.read_text()
+    out, err = capsys.readouterr()
+    statuses = [
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: '{tmp_path / 'missing.nii'}'",
+        f"error: MalformedHeader: {tmp_path / 'bad.nii'}: only 16 bytes, header needs 348",
+    ]
+    assert (code, out) == (2, "")
+    # one line naming the first row; the failed rows are still persisted for diagnosis
+    assert err == f"error: all 2 records failed; first: {statuses[0]}\n"
+    assert [(r["id"], r["status"]) for r in read_results(results)[1]] == list(zip(["r0", "r1"], statuses))
 
 
 def test_evaluate_usage_error_without_manifest():
@@ -439,6 +446,11 @@ def test_wd_prints_its_triplets_golden_row(golden_dataset, row, monkeypatch, cap
             assert out == "".join(f"{k}\t{row[k]}\n" for k in _WD_KEYS)
 
 
+def _four_d_status(four_d: str) -> str:
+    # advice that wd, refmetrics and evaluate can all follow
+    return f"error: ValueError: {four_d} has 2 channels; score each with evaluate, one manifest row per 'channel'"
+
+
 @pytest.mark.parametrize("role, four_d", [
     ("input", "four_d_in.nii"), ("target", "four_d_tg.nii"), ("pred", "four_d_pr.nii"),
 ])
@@ -447,8 +459,7 @@ def test_wd_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset, role, f
     files = {"input": "float_pr.nii", "target": "float_tg.nii", "pred": "float_pr.nii", role: four_d}
     code = run(["wd", *(arg for r, name in files.items() for arg in (f"--{r}", name))])
     out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and four_d in err
+    assert (code, out, err) == (2, "", _four_d_status(four_d) + "\n")
 
 
 @pytest.mark.parametrize("pred, gt", [
@@ -460,7 +471,7 @@ def test_refmetrics_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset,
     out, err = capsys.readouterr()
     four_d = pred if pred.startswith("four_d") else gt
     assert (code, out) == (2, "")
-    assert err == f"error: ValueError: {four_d} has 2 channels; manifest rows must set 'channel'\n"
+    assert err == _four_d_status(four_d) + "\n"
 
 
 def test_wd_reads_a_file_named_twice_once(volume_pair, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 """Manifest ingestion, batch evaluation, summaries, and reports."""
+import gc
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import shutil
 import sys
 import threading
 import time
+import types
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +19,6 @@ import pytest
 from harmbench.errors import (
     DegenerateNormalizer,
     DuplicateId,
-    EmptyForeground,
-    MalformedHeader,
     MissingColumn,
     NoSuccessfulRows,
     UnreadableFile,
@@ -287,16 +287,16 @@ def test_isolation_failed_row_does_not_change_good_rows(tiny_dataset):
     assert row_cells(mixed[0]) == row_cells(clean[0])
 
 
-def test_total_failure_raises_with_rows(tiny_dataset):
-    _, manifest = tiny_dataset
+def test_total_failure_returns_every_row_with_its_status(tiny_dataset):
+    base, manifest = tiny_dataset
     manifest.write_text(
         MANIFEST_HEADER + "\n"
         "b1,m.nii,b.nii,a.nii,,,,A,B,\n"
         "b2,m.nii,b.nii,a.nii,,,,A,B,\n"
     )
-    with pytest.raises(NoSuccessfulRows) as err:
-        evaluate_all(load_manifest(manifest), EvalConfig())
-    assert len(err.value.rows) == 2
+    rows = evaluate_all(load_manifest(manifest), EvalConfig())
+    status = f"error: FileNotFoundError: [Errno 2] No such file or directory: '{base / 'm.nii'}'"
+    assert [(r.id, r.status) for r in rows] == [("b1", status), ("b2", status)]
 
 
 def test_order_independence_of_values(tiny_dataset):
@@ -908,63 +908,57 @@ def test_rows_waiting_on_a_shared_file_never_see_it_cancelled(tiny_dataset, monk
         sys.setswitchinterval(interval)
 
 
-def _failure_chain_sources(exc):
-    sources = set()
-    while exc is not None:
-        tb = exc.__traceback__
-        while tb is not None:
-            sources.add(tb.tb_frame.f_code.co_filename)
-            tb = tb.tb_next
-        exc = exc.__cause__ or exc.__context__
-    return sources
+def _idle_package_frames():
+    """The reachable frames of harmbench code that no thread is running."""
+    gc.collect()
+    running = {}
+    for frame in sys._current_frames().values():
+        while frame is not None:
+            running[id(frame)] = frame
+            frame = frame.f_back
+    package = os.path.dirname(harness.__file__)
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, types.FrameType) and id(o) not in running
+        and os.path.dirname(o.f_code.co_filename) == package
+    ]
 
 
-def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_dataset):
+def test_a_failing_shared_file_leaves_no_frame_alive(tiny_dataset, monkeypatch):
+    # a failure kept for a later use of its file holds no frame, whose locals
+    # would pin the file's bytes (nifti.py), its grid (distribution.py) or a
+    # record's foregrounds (harness.py), and each use gets the same status
     base, _ = tiny_dataset
     write_volume(load_volume(base / "a.nii"), base / "a.nii.gz")
     (base / "bad.nii.gz").write_bytes(corrupt_deflate((base / "a.nii.gz").read_bytes()))
-    (base / "m.csv").write_text(
-        MANIFEST_HEADER + "\n"
-        "r0,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
-        "r1,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
-    )
-    records = load_manifest(base / "m.csv")
-    with ThreadPoolExecutor(1) as pool:
-        files = harness._SharedFiles(records, EvalConfig(), pool)
-        owed = files.start(records[0])
-        (product,) = (key for key in owed if key[1].endswith("bad.nii.gz"))
-        kept = files._made[product].exception()  # r1's use keeps the product
-        with pytest.raises(MalformedHeader) as raised:
-            files.take("intensity", base / "bad.nii.gz", owed)
-    assert isinstance(kept, MalformedHeader)
-    assert raised.value is not kept and str(raised.value) == str(kept)
-    # no frame from harmbench/nifti.py, whose locals hold the file's bytes
-    sources = _failure_chain_sources(kept)
-    assert sources and load_volume.__code__.co_filename not in sources
-
-
-def test_failed_foreground_is_kept_without_the_frames_holding_its_grid(tiny_dataset):
-    base, _ = tiny_dataset
     _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
     (base / "m.csv").write_text(
         MANIFEST_HEADER + "\n"
-        "r0,zero.nii,b.nii,a.nii,,,,A,B,\n"
-        "r1,zero.nii,b.nii,b.nii,,,,A,B,\n"
+        "r0,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
+        "r1,zero.nii,b.nii,a.nii,,,,A,B,\n"
+        # both failures are kept for r3 and r4 while r2 computes W1
+        "r2,a.nii,b.nii,a.nii,,,,A,B,\n"
+        "r3,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
+        "r4,zero.nii,b.nii,b.nii,,,,A,B,\n"
     )
     records = load_manifest(base / "m.csv")
-    with ThreadPoolExecutor(1) as pool:
-        files = harness._SharedFiles(records, EvalConfig(), pool)
-        owed = files.start(records[0])
-        (product,) = (key for key in owed if key[1].endswith("zero.nii"))
-        kept, grid = files._made[product].result()[None]  # r1's use keeps the product
-        foreground, _ = files.take("intensity", base / "zero.nii", owed)
-        assert foreground is kept and grid is None  # no gt metrics read zero.nii
-        with pytest.raises(EmptyForeground) as raised:
-            harness._or_raise(foreground)
-    assert isinstance(kept, EmptyForeground)
-    assert raised.value is not kept and str(raised.value) == str(kept)
-    # no frame at all: extract_foreground's locals hold the file's grid
-    assert not _failure_chain_sources(kept)
+    before, new_frames = _idle_package_frames(), []
+
+    def scanning_nwd(*dists, nwd=harness.nwd):
+        new_frames.extend(
+            f"{f.f_code.co_filename}:{f.f_code.co_name}"
+            for f in _idle_package_frames() if not any(f is b for b in before)
+        )
+        return nwd(*dists)
+
+    monkeypatch.setattr(harness, "nwd", scanning_nwd)
+    rows = evaluate_all(records, EvalConfig(workers=1))
+    assert [r.ok for r in rows] == [False, False, True, False, False]
+    assert new_frames == []
+    assert rows[0].status == rows[3].status
+    assert rows[0].status.startswith(f"error: MalformedHeader: {base / 'bad.nii.gz'}")
+    assert rows[1].status == rows[4].status
+    assert rows[1].status.startswith("error: EmptyForeground: ")
 
 
 def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch):
@@ -994,9 +988,7 @@ def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch
     monkeypatch.setattr(harness, "load_volume", slow_load)
     monkeypatch.setattr(harness._SharedFiles, "start", start_then_wait)
     monkeypatch.setattr(harness, "nwd", failing_nwd)
-    with pytest.raises(NoSuccessfulRows) as failed:
-        evaluate_all(records, EvalConfig(workers=1))
-    (row,) = failed.value.rows
+    (row,) = evaluate_all(records, EvalConfig(workers=1))
     assert row.status == "error: DegenerateNormalizer: input and target are indistinguishable"
     # gt is taken before W1; seg_pr's decode is cancelled before it starts
     assert loads == ["in.nii", "tg.nii", "pr.nii", "gt.nii", "seg_in.nii"]
