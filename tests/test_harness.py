@@ -924,22 +924,13 @@ def _idle_package_frames():
     ]
 
 
-def test_a_failing_shared_file_leaves_no_frame_alive(tiny_dataset, monkeypatch):
-    # a failure kept for a later use of its file holds no frame, whose locals
-    # would pin the file's bytes (nifti.py), its grid (distribution.py) or a
-    # record's foregrounds (harness.py), and each use gets the same status
-    base, _ = tiny_dataset
-    write_volume(load_volume(base / "a.nii"), base / "a.nii.gz")
-    (base / "bad.nii.gz").write_bytes(corrupt_deflate((base / "a.nii.gz").read_bytes()))
-    _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
+def _kept_failure_frames(base, monkeypatch, first, second):
+    """The rows of a manifest whose rows 0 and 2 share a failing file, and the
+    harmbench frames, new since the start and run by no thread, that are
+    reachable while row 1 computes W1 with that failure kept for row 2."""
     (base / "m.csv").write_text(
-        MANIFEST_HEADER + "\n"
-        "r0,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
-        "r1,zero.nii,b.nii,a.nii,,,,A,B,\n"
-        # both failures are kept for r3 and r4 while r2 computes W1
-        "r2,a.nii,b.nii,a.nii,,,,A,B,\n"
-        "r3,a.nii,b.nii,bad.nii.gz,,,,A,B,\n"
-        "r4,zero.nii,b.nii,b.nii,,,,A,B,\n"
+        MANIFEST_HEADER + "\n" + f"r0,{first},,,,A,B,\n"
+        "r1,a.nii,b.nii,a.nii,,,,A,B,\n" + f"r2,{second},,,,A,B,\n"
     )
     records = load_manifest(base / "m.csv")
     before, new_frames = _idle_package_frames(), []
@@ -952,13 +943,36 @@ def test_a_failing_shared_file_leaves_no_frame_alive(tiny_dataset, monkeypatch):
         return nwd(*dists)
 
     monkeypatch.setattr(harness, "nwd", scanning_nwd)
-    rows = evaluate_all(records, EvalConfig(workers=1))
-    assert [r.ok for r in rows] == [False, False, True, False, False]
+    return evaluate_all(records, EvalConfig(workers=1)), new_frames
+
+
+def test_failed_product_is_kept_without_the_frames_holding_its_bytes(tiny_dataset, monkeypatch):
+    # a corrupt file kept for its later use holds no frame, whose locals would
+    # pin the file's bytes (nifti.py) or a record's foregrounds (harness.py),
+    # and each use gets the same status
+    base, _ = tiny_dataset
+    write_volume(load_volume(base / "a.nii"), base / "a.nii.gz")
+    (base / "bad.nii.gz").write_bytes(corrupt_deflate((base / "a.nii.gz").read_bytes()))
+    rows, new_frames = _kept_failure_frames(
+        base, monkeypatch, "a.nii,b.nii,bad.nii.gz", "a.nii,b.nii,bad.nii.gz")
+    assert [r.ok for r in rows] == [False, True, False]
     assert new_frames == []
-    assert rows[0].status == rows[3].status
+    assert rows[0].status == rows[2].status
     assert rows[0].status.startswith(f"error: MalformedHeader: {base / 'bad.nii.gz'}")
-    assert rows[1].status == rows[4].status
-    assert rows[1].status.startswith("error: EmptyForeground: ")
+
+
+def test_failed_foreground_is_kept_without_the_frames_holding_its_grid(tiny_dataset, monkeypatch):
+    # an empty foreground kept for its later use holds no frame, whose locals
+    # would pin the file's grid (distribution.py) or a record's foregrounds
+    # (harness.py), and each use gets the same status
+    base, _ = tiny_dataset
+    _write_grid(base / "zero.nii", np.zeros(8 ** 3), (8, 8, 8))
+    rows, new_frames = _kept_failure_frames(
+        base, monkeypatch, "zero.nii,b.nii,a.nii", "zero.nii,b.nii,b.nii")
+    assert [r.ok for r in rows] == [False, True, False]
+    assert new_frames == []
+    assert rows[0].status == rows[2].status
+    assert rows[0].status.startswith("error: EmptyForeground: ")
 
 
 def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch):
