@@ -29,8 +29,6 @@ class ApReport:
 
 def as_label_volume(grid: VoxelGrid) -> LabelVolume:
     """Reinterpret an integer-valued grid as a segmentation."""
-    if grid.channel_count != 1:
-        raise ValueError("label volumes are single-channel")
     values = grid.values
     if values.dtype.kind == "f":
         # Range first: casting a value outside int64 has no defined result.

@@ -19,12 +19,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .anatomy import anatomy_preservation, as_label_volume
+from .anatomy import anatomy_preservation
 from .distribution import ForegroundPolicy
 from .harness import (
     _RECORD_ERRORS,
     EvalConfig,
     TripletRecord,
+    _labels,
     _single_channel,
     _status,
     emit_report,
@@ -152,7 +153,7 @@ def _config(ns) -> EvalConfig:
     except ValueError as exc:
         raise _UsageError(exc) from exc
     if given.get("fg_mask"):
-        mask = as_label_volume(load_volume(ns.fg_mask))
+        mask = _labels(ns.fg_mask)
         policy = dataclasses.replace(config.policy, mask=mask)
         config = dataclasses.replace(config, policy=policy)
     return config
@@ -192,7 +193,7 @@ def _cmd_ap(ns, config: EvalConfig) -> int:
     legend = ns.labels
     segs = []
     for path in (ns.seg_input, ns.seg_pred):
-        segs.append(as_label_volume(load_volume(path)))
+        segs.append(_labels(path))
         unnamed = [k for k in segs[-1].voxel_counts if legend and k not in legend]
         if unnamed:
             raise ValueError(f"labels {unnamed} present in volume but absent from legend")

@@ -127,15 +127,11 @@ _ABOVE_IN_FLOAT64 = (np.float64, np.float64, np.bool_)
 
 
 def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
-    """Flat boolean mask of foreground voxels for a single-channel grid.
+    """Flat boolean mask of the foreground voxels of ``grid``.
 
     The threshold is compared in float64 whatever the grid's dtype,
     without a float64 copy of the grid.
     """
-    if grid.channel_count != 1:
-        raise ValueError(
-            "foreground extraction is single-channel; select a channel first"
-        )
     if policy.mask is None:
         return np.greater(grid.values, policy.threshold, signature=_ABOVE_IN_FLOAT64)
     mask = policy.mask

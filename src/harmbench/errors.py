@@ -58,7 +58,7 @@ class NoCommonStructures(HarmbenchError):
 # ---------------------------------------------------------- reference metric
 
 class DimsMismatch(HarmbenchError):
-    """Paired grids do not have identical dimensions."""
+    """Paired grids differ in dims or in voxel spacing."""
 
 
 class DegenerateRange(HarmbenchError):

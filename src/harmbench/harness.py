@@ -37,7 +37,7 @@ from .errors import (
 from .nifti import load_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
 from .stats import mean_std, sentinel_count
-from .volume import VoxelGrid
+from .volume import LabelVolume, VoxelGrid
 from .wasserstein import DEFAULT_VERDICT_TOL, Verdict, WdPair, classify, nwd
 
 REQUIRED_COLUMNS = ("id", "input_path", "target_path", "pred_path", "site_in", "site_out")
@@ -225,15 +225,28 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
 # --------------------------------------------------------------- evaluation
 
 
-def _single_channel(grid: VoxelGrid, path: Path, channel: int | None) -> VoxelGrid:
-    if channel is not None:
-        return grid.channel(channel)
-    if grid.channel_count != 1:
+def _single_channel(loaded: VoxelGrid | tuple[VoxelGrid, ...], path: Path, channel: int | None) -> VoxelGrid:
+    """Channel ``channel`` of the intensity file ``path``, as ``load_volume``
+    gave it; a file of several channels needs one named. Either failure
+    names the file."""
+    channels = loaded if isinstance(loaded, tuple) else (loaded,)
+    if channel is None and len(channels) > 1:
         raise ValueError(
-            f"{path} has {grid.channel_count} channels; score each with evaluate, "
+            f"{path} has {len(channels)} channels; score each with evaluate, "
             "one manifest row per 'channel'"
         )
-    return grid
+    if (channel or 0) >= len(channels):
+        raise ValueError(f"channel {channel} out of range for {len(channels)}-channel file {path}")
+    return channels[channel or 0]
+
+
+def _labels(path: Path) -> LabelVolume:
+    """The label volume of the segmentation or mask file ``path``, which
+    must have one channel: no column selects a channel of it."""
+    loaded = load_volume(path)
+    if isinstance(loaded, tuple):
+        raise ValueError(f"{path} has {len(loaded)} channels; a segmentation or mask has one")
+    return as_label_volume(loaded)
 
 
 class _SharedFiles:
@@ -339,14 +352,14 @@ class _SharedFiles:
         kind, path = key[0], self._path[key]
         try:
             if kind == "seg":
-                return as_label_volume(load_volume(path))
-            volume = load_volume(path)
+                return _labels(path)
+            loaded = load_volume(path)
         except _RECORD_ERRORS as exc:
             return _status(exc)
         entries = {}
         for channel, parts in self._wants[key].items():
             try:
-                grid = _single_channel(volume, path, channel)
+                grid = _single_channel(loaded, path, channel)
             except _RECORD_ERRORS as exc:
                 entries[channel] = _status(exc)
                 continue

@@ -7,7 +7,8 @@ the file's own dtype, as a read-only view of the decoded file: only a
 containers are auto-detected from the leading two bytes, not the file
 extension. Each load parses the header once. Axes past its rank
 ``dim[0]`` are ignored: they have extent 1 and spacing 1.0, whatever
-the header stores there; axes 4 and up are channels. Paired
+the header stores there; axes 4 and up are channels, and a file with
+several loads as one grid per channel. Paired
 ``.hdr``/``.img`` volumes (magic ``ni1``) are rejected: every
 referenced dataset ships single-file volumes, and the split layout
 would double the parser surface for nothing.
@@ -220,13 +221,16 @@ def _read(path: Path):
     return _decode(out, path)
 
 
-def load_volume(path: str | Path) -> VoxelGrid:
+def load_volume(path: str | Path) -> VoxelGrid | tuple[VoxelGrid, ...]:
     """Read a plain or gzipped single-file NIfTI-1 volume.
 
-    The voxels keep the file's dtype in native byte order; they are a
-    read-only view of the decoded file unless it was big-endian. Only
-    ``scl_slope``/``scl_inter`` scaling, applied per the standard (slope
-    0 means no scaling), widens them to float64.
+    A file of one channel is one grid; a file of several (axes 4 to 7
+    multiplied) is a tuple of grids, one per channel in file order, each
+    a view into the one decoded buffer. The voxels keep the file's dtype
+    in native byte order; they are a read-only view of the decoded file
+    unless it was big-endian. Only ``scl_slope``/``scl_inter`` scaling,
+    applied per the standard (slope 0 means no scaling), widens them to
+    float64.
     """
     path = Path(path)
     hdr, dims, channels, spacing, values = _read(path)
@@ -244,7 +248,10 @@ def load_volume(path: str | Path) -> VoxelGrid:
         values = values.astype(values.dtype.newbyteorder("="))
 
     try:
-        return VoxelGrid(dims, spacing, values, channel_count=channels)
+        if channels == 1:
+            return VoxelGrid(dims, spacing, values)
+        n = math.prod(dims)
+        return tuple(VoxelGrid(dims, spacing, values[c * n : (c + 1) * n]) for c in range(channels))
     except NonFiniteVoxel:
         raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity") from None
 
@@ -290,7 +297,7 @@ def _write_gzip(f, hdr: bytes, voxels: np.ndarray) -> None:
 
 
 def write_volume(grid: VoxelGrid, path: str | Path) -> None:
-    """Write ``grid`` as a single-file NIfTI-1, float32, little-endian.
+    """Write ``grid`` as a 3-D single-file NIfTI-1, float32, little-endian.
 
     ``.gz`` paths are gzip level 1 with mtime 0 and no file name, so the
     same grid gives the same bytes run after run and on every platform.
@@ -321,12 +328,9 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
         raise IoFailure(f"{path}: integers beyond ±2**24 would be rounded in float32")
 
     nx, ny, nz = grid.dims
-    rank = 4 if grid.channel_count > 1 else 3
     hdr = bytearray(HEADER_SIZE + 4)  # the header and a zero extension flag
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    struct.pack_into(
-        "<8h", hdr, 40, rank, nx, ny, nz, grid.channel_count if rank == 4 else 1, 1, 1, 1
-    )
+    struct.pack_into("<8h", hdr, 40, 3, nx, ny, nz, 1, 1, 1, 1)
     struct.pack_into("<2h", hdr, 70, 16, 32)  # float32
     sx, sy, sz = grid.spacing
     struct.pack_into("<8f", hdr, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)

@@ -122,14 +122,14 @@ def paired_metrics(
 
     A bit-identical pair returns (ssim=1, psnr=+inf sentinel, mae=0,
     mse=0). The union foreground is used rather than the intersection so
-    tissue hallucinated over background is counted, not hidden.
+    tissue hallucinated over background is counted, not hidden. The two
+    grids must share dims and spacing exactly, as stored: the metrics
+    pair voxel with voxel.
     """
-    if pred.dims != gt.dims or pred.channel_count != gt.channel_count:
+    if (pred.dims, pred.spacing) != (gt.dims, gt.spacing):
         raise DimsMismatch(
-            f"pred {pred.dims}x{pred.channel_count} != gt {gt.dims}x{gt.channel_count}"
+            f"pred {pred.dims} at {pred.spacing} mm != gt {gt.dims} at {gt.spacing} mm"
         )
-    if pred.channel_count != 1:
-        raise ValueError("paired metrics are single-channel; select a channel first")
 
     fg = foreground_mask(pred, policy) | foreground_mask(gt, policy)
     p = pred.values[fg].astype(np.float64)

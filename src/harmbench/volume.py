@@ -3,7 +3,7 @@
 A :class:`VoxelGrid` is an immutable 3-D scalar intensity volume with
 physical voxel spacing; a :class:`LabelVolume` is its integer-labeled
 segmentation counterpart. Values live in flat arrays in x-fastest order
-(index ``i + nx*(j + ny*(k + nz*c))``). A grid keeps the integer or float
+(index ``i + nx*(j + ny*k)``). A grid keeps the integer or float
 dtype it was given, so a loaded file costs its own width per voxel, and
 each metric widens to float64 only the voxels it reads. Labels keep
 their integer dtype too, except that uint64 becomes int64.
@@ -30,7 +30,8 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 class VoxelGrid:
     """3-D scalar intensity volume with voxel spacing in millimeters.
 
-    ``values`` is flat, x-fastest, one ``nx*ny*nz`` block per channel.
+    ``values`` is flat and x-fastest, one value per voxel: a grid is one
+    channel, and a multichannel file loads as one grid per channel.
     Integer and float arrays are kept in their own dtype (anything else
     becomes float64), so arithmetic on them must widen explicitly: under
     numpy's promotion rules ``float32 - 0.1`` stays float32. Float
@@ -41,25 +42,19 @@ class VoxelGrid:
     dims: Dims
     spacing: Spacing
     values: np.ndarray
-    channel_count: int = 1
 
     def __post_init__(self):
         nx, ny, nz = (int(d) for d in self.dims)
         if min(nx, ny, nz) < 1:
             raise ValueError(f"dims must be positive, got {self.dims!r}")
-        if int(self.channel_count) < 1:
-            raise ValueError(f"channel_count must be >= 1, got {self.channel_count!r}")
         spacing = tuple(float(s) for s in self.spacing)
         if any(not np.isfinite(s) or s <= 0 for s in spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
         values = np.asarray(self.values).reshape(-1)
         if values.dtype.kind not in "iuf":
             values = values.astype(np.float64)
-        expected = nx * ny * nz * int(self.channel_count)
-        if values.size != expected:
-            raise ValueError(
-                f"values length {values.size} != nx*ny*nz*channels = {expected}"
-            )
+        if values.size != nx * ny * nz:
+            raise ValueError(f"values length {values.size} != nx*ny*nz = {nx * ny * nz}")
         # min and max carry any NaN or infinity, without a mask the size of the grid
         if values.dtype.kind == "f" and not (
             np.isfinite(values.min()) and np.isfinite(values.max())
@@ -68,27 +63,10 @@ class VoxelGrid:
         object.__setattr__(self, "dims", (nx, ny, nz))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "channel_count", int(self.channel_count))
 
-    @property
-    def voxels_per_channel(self) -> int:
-        nx, ny, nz = self.dims
-        return nx * ny * nz
-
-    def channel(self, c: int) -> "VoxelGrid":
-        """Single-channel view of channel ``c``."""
-        if not 0 <= c < self.channel_count:
-            raise ValueError(
-                f"channel {c} out of range for {self.channel_count}-channel grid"
-            )
-        n = self.voxels_per_channel
-        return VoxelGrid(self.dims, self.spacing, self.values[c * n : (c + 1) * n])
-
-    def as_array(self, channel: int = 0) -> np.ndarray:
-        """Channel data as a read-only (nx, ny, nz) array."""
-        n = self.voxels_per_channel
-        block = self.values[channel * n : (channel + 1) * n]
-        return block.reshape(self.dims, order="F")
+    def as_array(self) -> np.ndarray:
+        """The voxels as a read-only (nx, ny, nz) array."""
+        return self.values.reshape(self.dims, order="F")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelGrid):
@@ -96,7 +74,6 @@ class VoxelGrid:
         return (
             self.dims == other.dims
             and self.spacing == other.spacing
-            and self.channel_count == other.channel_count
             and np.array_equal(self.values, other.values)
         )
 

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import harmbench
 from harmbench.cli import run
 from harmbench.harness import load_manifest, read_results
-from harmbench.nifti import write_volume
+from harmbench.nifti import load_volume, write_volume
 from harmbench.volume import VoxelGrid
 
 from golden_dataset import GOLDEN, build_dataset
-from nifti_fixtures import corrupt_deflate
+from nifti_fixtures import build_nifti, corrupt_deflate
 
 
 def _write_grid(path, values, dims=(8, 8, 8)):
@@ -201,6 +201,44 @@ def test_refmetrics_identity_pair(volume_pair, capsys):
     assert doc["mae"] == 0.0
     assert doc["ssim"] == 1.0
     assert doc["psnr"] == "inf"  # sentinel rendered as a string in JSON
+
+
+def test_refmetrics_on_a_spacing_mismatch_is_one_error_line(volume_pair, capsys):
+    # a 2 mm prediction on the 1 mm gt's dims and voxels would score ssim 1, psnr inf
+    pred = load_volume(volume_pair / "a.nii")
+    write_volume(VoxelGrid(pred.dims, (2, 2, 2), pred.values), volume_pair / "a-2mm.nii")
+    code = run(["refmetrics", "--pred", str(volume_pair / "a-2mm.nii"), "--gt", str(volume_pair / "a.nii")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: DimsMismatch: pred (8, 8, 8) at (2.0, 2.0, 2.0) mm != gt (8, 8, 8) at (1.0, 1.0, 1.0) mm\n"
+    )
+
+
+def _four_d_labels_status(path) -> str:
+    # no column selects a channel of a segmentation or mask, so none is advised
+    return f"error: ValueError: {path} has 2 channels; a segmentation or mask has one"
+
+
+def test_ap_on_a_four_d_segmentation_is_one_error_line_naming_it(doubled_pair, tmp_path, capsys):
+    four_d = tmp_path / "four_d_seg.nii"
+    seg = np.zeros(4 ** 3)
+    seg[:8] = 1
+    four_d.write_bytes(build_nifti(np.concatenate([seg, seg]), dim=(4, 4, 4, 4, 2)))
+    seg_input, seg_pred = doubled_pair[1], doubled_pair[3]
+    for pair in ((str(four_d), seg_pred), (seg_input, str(four_d))):
+        code = run(["ap", "--seg-input", pair[0], "--seg-pred", pair[1]])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", _four_d_labels_status(four_d) + "\n")
+
+
+def test_wd_with_a_four_d_fg_mask_is_one_error_line_naming_it(volume_pair, capsys):
+    mask = volume_pair / "four_d_mask.nii"
+    mask.write_bytes(build_nifti(np.ones(2 * 8 ** 3), dim=(4, 8, 8, 8, 2)))
+    a, b = str(volume_pair / "a.nii"), str(volume_pair / "b.nii")
+    code = run(["wd", "--input", a, "--target", b, "--pred", a, "--fg-mask", str(mask)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", _four_d_labels_status(mask) + "\n")
 
 
 def test_evaluate_report_corr_round_trip(tmp_path, capsys):

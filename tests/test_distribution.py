@@ -66,12 +66,6 @@ def test_mask_with_a_threshold_is_rejected():
         ForegroundPolicy(threshold=1.0, mask=mask)
 
 
-def test_multichannel_grid_rejected():
-    grid = VoxelGrid((2, 1, 1), (1, 1, 1), np.arange(4.0), channel_count=2)
-    with pytest.raises(ValueError, match="single-channel"):
-        extract_foreground(grid, ForegroundPolicy())
-
-
 @given(st.permutations(list(range(12))))
 @settings(max_examples=100)
 def test_extraction_is_order_independent(perm):

@@ -47,7 +47,7 @@ from harmbench.volume import VoxelGrid
 from harmbench.wasserstein import Verdict, WdPair
 
 from golden_dataset import GOLDEN, build_dataset, golden_outputs
-from nifti_fixtures import corrupt_deflate
+from nifti_fixtures import build_nifti, corrupt_deflate
 
 MANIFEST_HEADER = "id,input_path,target_path,pred_path,gt_path,seg_input_path,seg_pred_path,site_in,site_out,channel"
 
@@ -338,11 +338,8 @@ def test_multichannel_rows_per_channel(tmp_path):
     dims = (6, 6, 6)
     n = 6 ** 3
     two = np.concatenate([rng.uniform(1, 5, n), rng.uniform(10, 20, n)])
-    grid = VoxelGrid(dims, (1, 1, 1), two, channel_count=2)
-    write_volume(grid, tmp_path / "in.nii")
-    write_volume(
-        VoxelGrid(dims, (1, 1, 1), two * 2.0, channel_count=2), tmp_path / "tg.nii"
-    )
+    (tmp_path / "in.nii").write_bytes(build_nifti(two, dim=(4, *dims, 2)))
+    (tmp_path / "tg.nii").write_bytes(build_nifti(two * 2.0, dim=(4, *dims, 2)))
     manifest = tmp_path / "m.csv"
     manifest.write_text(
         MANIFEST_HEADER + "\n"
@@ -458,8 +455,8 @@ def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch)
     rng = np.random.default_rng(3)
     dims, channels = (6, 6, 6), 3
     values = rng.uniform(1, 5, 6 ** 3 * channels)
-    write_volume(VoxelGrid(dims, (1, 1, 1), values, channel_count=channels), tmp_path / "in.nii")
-    write_volume(VoxelGrid(dims, (1, 1, 1), values * 2, channel_count=channels), tmp_path / "tg.nii")
+    (tmp_path / "in.nii").write_bytes(build_nifti(values, dim=(4, *dims, channels)))
+    (tmp_path / "tg.nii").write_bytes(build_nifti(values * 2, dim=(4, *dims, channels)))
     (tmp_path / "m.csv").write_text(
         MANIFEST_HEADER + "\n"
         + "".join(f"x,in.nii,tg.nii,in.nii,,,,A,B,{c}\n" for c in range(channels))
@@ -537,12 +534,58 @@ def test_empty_foreground_of_a_shared_file_fails_only_the_rows_taking_it(tiny_da
     assert loads == {"a.nii": 1, "b.nii": 1, "zero.nii": 1}
 
 
+def test_channel_past_a_one_channel_file_names_the_file_the_channel_and_the_count(tiny_dataset):
+    base, _ = tiny_dataset
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "x,a.nii,b.nii,a.nii,,,,A,B,0\n"
+        "x,a.nii,b.nii,a.nii,,,,A,B,1\n"
+    )
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig())
+    assert rows[0].ok
+    assert rows[1].status == f"error: ValueError: channel 1 out of range for 1-channel file {base / 'a.nii'}"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_four_d_segmentation_fails_only_its_row_naming_the_file(tiny_dataset, workers):
+    base, _ = tiny_dataset
+    labels = load_volume(base / "seg.nii").values
+    (base / "seg4.nii").write_bytes(build_nifti(np.concatenate([labels, labels]), dim=(4, 8, 8, 8, 2)))
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,a.nii,,seg.nii,seg4.nii,A,B,\n"
+        "r1,a.nii,b.nii,a.nii,,seg.nii,seg.nii,A,B,\n"
+    )
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
+    # segmentation columns select no channel, so the status does not advise one
+    assert rows[0].status == (
+        f"error: ValueError: {base / 'seg4.nii'} has 2 channels; a segmentation or mask has one"
+    )
+    assert rows[1].ok and rows[1].ap is not None
+
+
+def test_a_gt_on_another_spacing_fails_only_its_row(tiny_dataset):
+    base, _ = tiny_dataset
+    a = load_volume(base / "a.nii")
+    write_volume(VoxelGrid(a.dims, (2, 2, 2), a.values), base / "a-2mm.nii")
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a.nii,b.nii,a.nii,a-2mm.nii,,,A,B,\n"
+        "r1,a.nii,b.nii,a.nii,a.nii,,,A,B,\n"
+    )
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig())
+    assert rows[0].status == (
+        "error: DimsMismatch: pred (8, 8, 8) at (1.0, 1.0, 1.0) mm != gt (8, 8, 8) at (2.0, 2.0, 2.0) mm"
+    )
+    assert rows[1].ok and rows[1].reference.ssim == 1.0
+
+
 def test_bad_channel_of_a_shared_file_fails_only_its_row(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     dims, channels = (6, 6, 6), 3
     values = rng.uniform(1, 5, 6 ** 3 * channels)
-    write_volume(VoxelGrid(dims, (1, 1, 1), values, channel_count=channels), tmp_path / "in.nii")
-    write_volume(VoxelGrid(dims, (1, 1, 1), values * 2, channel_count=channels), tmp_path / "tg.nii")
+    (tmp_path / "in.nii").write_bytes(build_nifti(values, dim=(4, *dims, channels)))
+    (tmp_path / "tg.nii").write_bytes(build_nifti(values * 2, dim=(4, *dims, channels)))
     (tmp_path / "m.csv").write_text(
         MANIFEST_HEADER + "\n"
         + "".join(f"x,in.nii,tg.nii,in.nii,,,,A,B,{c}\n" for c in (0, 5, 1, 2))
@@ -552,7 +595,7 @@ def test_bad_channel_of_a_shared_file_fails_only_its_row(tmp_path, monkeypatch):
         loads.clear()
         rows = evaluate_all(load_manifest(tmp_path / "m.csv"), EvalConfig(workers=workers))
         assert [r.ok for r in rows] == [True, False, True, True]
-        assert rows[1].status == "error: ValueError: channel 5 out of range for 3-channel grid"
+        assert rows[1].status == f"error: ValueError: channel 5 out of range for 3-channel file {tmp_path / 'in.nii'}"
         assert len({r.wd.wd_it for r in rows if r.ok}) == channels
         assert loads == {"in.nii": 1, "tg.nii": 1}
 

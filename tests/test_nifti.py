@@ -33,8 +33,8 @@ def test_plain_float32_identity_scaling(tmp_path):
     # eight float32 values 0..7 laid out in on-disk (x-fastest) order
     blob = build_nifti(np.arange(8, dtype=np.float32), dim=(3, 2, 2, 2, 1, 1, 1, 1))
     grid = load_volume(_write(tmp_path, blob))
+    assert isinstance(grid, VoxelGrid)  # one channel: a grid, not a tuple of one
     assert grid.dims == (2, 2, 2)
-    assert grid.channel_count == 1
     np.testing.assert_array_equal(grid.values, np.arange(8, dtype=np.float64))
 
 
@@ -301,10 +301,13 @@ def test_byteswapped_writer_output_loads_identically(tmp_path):
 def test_four_dim_file_maps_to_channels(tmp_path):
     data = np.arange(16, dtype=np.float32)
     blob = build_nifti(data, dim=(4, 2, 2, 2, 2, 1, 1, 1))
-    grid = load_volume(_write(tmp_path, blob))
-    assert grid.channel_count == 2
-    np.testing.assert_array_equal(grid.channel(0).values, np.arange(8, dtype=np.float64))
-    np.testing.assert_array_equal(grid.channel(1).values, np.arange(8, 16, dtype=np.float64))
+    channels = load_volume(_write(tmp_path, blob))
+    assert isinstance(channels, tuple) and len(channels) == 2
+    np.testing.assert_array_equal(channels[0].values, np.arange(8, dtype=np.float64))
+    np.testing.assert_array_equal(channels[1].values, np.arange(8, 16, dtype=np.float64))
+    # both are read-only views into the one decoded buffer
+    assert channels[0].values.base is channels[1].values.base is not None
+    assert not channels[0].values.flags.writeable and not channels[1].values.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -319,10 +322,13 @@ def test_four_dim_file_maps_to_channels(tmp_path):
 def test_axes_past_the_rank_are_ignored(tmp_path, dim, pixdim, dims, spacing, channels):
     size = math.prod(dims)
     blob = build_nifti(np.arange(size * channels, dtype=np.float32), dim=dim, pixdim=pixdim)
-    grid = load_volume(_write(tmp_path, blob))
-    assert grid.dims == dims and grid.spacing == spacing and grid.channel_count == channels
-    for c in range(channels):
-        np.testing.assert_array_equal(grid.channel(c).values, np.arange(c * size, (c + 1) * size))
+    loaded = load_volume(_write(tmp_path, blob))
+    assert isinstance(loaded, tuple) == (channels > 1)
+    grids = loaded if channels > 1 else (loaded,)
+    assert len(grids) == channels
+    for c, grid in enumerate(grids):
+        assert grid.dims == dims and grid.spacing == spacing
+        np.testing.assert_array_equal(grid.values, np.arange(c * size, (c + 1) * size))
 
 
 def test_loaded_values_are_immutable(tmp_path):

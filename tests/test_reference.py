@@ -148,6 +148,17 @@ def test_dims_mismatch():
         paired_metrics(_grid(np.ones(8 ** 3)), _grid(np.ones(27), (3, 3, 3)))
 
 
+def test_spacing_mismatch_names_both_grids():
+    # same dims and voxels, but a 2 mm slice axis: voxel i of one is not voxel i of the other
+    pred, _ = _random_pair(3)
+    thick = VoxelGrid(pred.dims, (1, 1, 2), pred.values)
+    with pytest.raises(DimsMismatch) as info:
+        paired_metrics(thick, pred)
+    assert str(info.value) == "pred (8, 8, 8) at (1.0, 1.0, 2.0) mm != gt (8, 8, 8) at (1.0, 1.0, 1.0) mm"
+    with pytest.raises(DimsMismatch, match=r"^pred \(8, 8, 8\) at \(1.0, 1.0, 1.0\) mm != gt"):
+        paired_metrics(pred, thick)
+
+
 def test_empty_foreground():
     with pytest.raises(EmptyForeground):
         paired_metrics(_grid(np.zeros(8 ** 3)), _grid(np.zeros(8 ** 3)))
