@@ -130,13 +130,16 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
     """Flat boolean mask of the foreground voxels of ``grid``.
 
     The threshold is compared in float64 whatever the grid's dtype,
-    without a float64 copy of the grid.
+    without a float64 copy of the grid. An explicit mask must share the
+    grid's dims and spacing exactly, as stored: it selects voxel by voxel.
     """
     if policy.mask is None:
         return np.greater(grid.values, policy.threshold, signature=_ABOVE_IN_FLOAT64)
     mask = policy.mask
-    if mask.dims != grid.dims:
-        raise DimsMismatch(f"mask dims {mask.dims} != grid dims {grid.dims}")
+    if (mask.dims, mask.spacing) != (grid.dims, grid.spacing):
+        raise DimsMismatch(
+            f"mask {mask.dims} at {mask.spacing} mm != grid {grid.dims} at {grid.spacing} mm"
+        )
     return mask.labels != 0
 
 

@@ -19,6 +19,9 @@ from harmbench.volume import VoxelGrid
 from golden_dataset import GOLDEN, build_dataset
 from nifti_fixtures import build_nifti, corrupt_deflate
 
+# what a child process puts on its path to import this harmbench
+_SRC = str(Path(harmbench.__file__).resolve().parent.parent)
+
 
 def _write_grid(path, values, dims=(8, 8, 8)):
     write_volume(VoxelGrid(dims, (1, 1, 1), np.asarray(values, dtype=float)), path)
@@ -241,6 +244,22 @@ def test_wd_with_a_four_d_fg_mask_is_one_error_line_naming_it(volume_pair, capsy
     assert (code, out, err) == (2, "", _four_d_labels_status(mask) + "\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["wd", "--input", "a.nii", "--target", "b.nii", "--pred", "a.nii"],
+    ["refmetrics", "--pred", "a.nii", "--gt", "b.nii"],
+])
+def test_fg_mask_on_another_spacing_is_one_error_line(volume_pair, monkeypatch, capsys, command):
+    # an all-ones 2 mm mask on the 1 mm volumes' dims would select every voxel as if aligned
+    monkeypatch.chdir(volume_pair)
+    write_volume(VoxelGrid((8, 8, 8), (2, 2, 2), np.ones(8 ** 3)), volume_pair / "mask-2mm.nii")
+    code = run([*command, "--fg-mask", "mask-2mm.nii"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: DimsMismatch: mask (8, 8, 8) at (2.0, 2.0, 2.0) mm != grid (8, 8, 8) at (1.0, 1.0, 1.0) mm\n"
+    )
+
+
 def test_evaluate_report_corr_round_trip(tmp_path, capsys):
     from harmbench.synth import write_synthetic_dataset
 
@@ -257,6 +276,9 @@ def test_evaluate_report_corr_round_trip(tmp_path, capsys):
     assert results.exists()
     assert "nWD(i,p)" in out and "AP(i,p)" in out
     assert out.count("±") >= 2
+    # report's default format reproduces evaluate's markdown, whole
+    assert run(["report", "--in", str(results)]) == 0
+    assert capsys.readouterr().out == out
 
     code = run(["report", "--in", str(results), "--format", "json"])
     out = capsys.readouterr().out
@@ -269,6 +291,11 @@ def test_evaluate_report_corr_round_trip(tmp_path, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert table.splitlines()[0].split("\t")[1:] == ["mae", "mse"]
+    # every default row and column is one evaluate writes
+    assert run(["corr", "--in", str(results)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split("\t")[1:] == ["ssim", "psnr", "mae", "mse"]
+    assert [line.split("\t")[0] for line in table[1:]] == ["nwd_ip", "nwd_tp", "ap"]
 
 
 def test_evaluate_total_failure_exits_two(tmp_path, capsys):
@@ -389,6 +416,8 @@ def test_unusable_out_is_rejected_before_the_fg_mask_is_read(tmp_path, capsys):
     ["--n", "-1"],
     ["--n", "0"],
     ["--seed", "-1"],
+    # the last triplet's anatomy seed leaves the Philox key range
+    ["--n", "1514", "--size", "12", "--seed", "340281346076900232762676319402810"],
 ])
 def test_bad_synth_setting_is_usage_error_before_out_is_created(tmp_path, capsys, setting):
     out = tmp_path / "data"
@@ -606,10 +635,37 @@ def test_results_with_the_removed_exact_cap_line_still_read(synth_manifest, tmp_
 
 def test_cli_import_loads_no_scipy():
     # scipy took about half a second of every CLI start
-    src = str(Path(harmbench.__file__).resolve().parent.parent)
     code = "import sys, harmbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": _SRC},
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("flags, setting, code", [
+    # the next record's files are read ahead: a decode still pending, or of
+    # a dropped file, at exit must warn nothing and change no byte
+    (["-X", "dev", "-W", "error"], ["--workers", "3"], 0),
+    ([], ["--exact-cap", "1"], 1),
+    ([], ["--fg-mask", "missing.nii"], 2),
+], ids=["read_ahead_at_exit", "usage_error", "data_error"])
+def test_python_m_harmbench_does_what_run_does(synth_manifest, tmp_path, monkeypatch, capsys, flags, setting, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to it
+    argv = ["evaluate", "--manifest", str(synth_manifest), "--out", "r.csv", *setting]
+    results = tmp_path / "r.csv"
+
+    def written():
+        return results.read_bytes() if results.exists() else None
+
+    # in process at one worker: the exit code, output and results file any run must give
+    in_process = (run([*argv, "--workers", "1"]), *capsys.readouterr(), written())
+    assert in_process[0] == code
+    assert (in_process[3] is None) == (code != 0)
+    results.unlink(missing_ok=True)
+    process = subprocess.run(
+        [sys.executable, *flags, "-m", "harmbench", *argv],
+        env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert (process.returncode, process.stdout, process.stderr, written()) == in_process

@@ -57,6 +57,11 @@ def test_mask_mode_and_dims_check():
     bad = LabelVolume((2, 1, 1), (1, 1, 1), np.array([1, 1]))
     with pytest.raises(DimsMismatch):
         foreground_mask(grid, ForegroundPolicy(mask=bad))
+    # same dims, another spacing: voxel i of the mask is not voxel i of the grid
+    thick = LabelVolume((4, 1, 1), (1, 1, 2), np.array([1, 0, 0, 2]))
+    with pytest.raises(DimsMismatch) as info:
+        foreground_mask(grid, ForegroundPolicy(mask=thick))
+    assert str(info.value) == "mask (4, 1, 1) at (1.0, 1.0, 2.0) mm != grid (4, 1, 1) at (1.0, 1.0, 1.0) mm"
 
 
 def test_mask_with_a_threshold_is_rejected():

@@ -26,6 +26,7 @@ from harmbench.errors import (
 )
 from harmbench import harness
 from harmbench.cli import run
+from harmbench.distribution import ForegroundPolicy
 from harmbench.harness import (
     EvalConfig,
     EvaluationRow,
@@ -190,7 +191,9 @@ def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, caps
     out = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: MissingColumn: ") and "record 1" in err[0]
+    assert err == [
+        f"error: MissingColumn: {manifest} record 1: seg_input_path and seg_pred_path must both be set or both empty"
+    ]
     assert not loads and not out.exists()
 
 
@@ -578,6 +581,24 @@ def test_a_gt_on_another_spacing_fails_only_its_row(tiny_dataset):
         "error: DimsMismatch: pred (8, 8, 8) at (1.0, 1.0, 1.0) mm != gt (8, 8, 8) at (2.0, 2.0, 2.0) mm"
     )
     assert rows[1].ok and rows[1].reference.ssim == 1.0
+
+
+def test_an_fg_mask_on_another_spacing_fails_only_the_rows_on_it(tiny_dataset):
+    base, _ = tiny_dataset
+    for name in ("a", "b"):
+        grid = load_volume(base / f"{name}.nii")
+        write_volume(VoxelGrid(grid.dims, (2, 2, 2), grid.values), base / f"{name}-2mm.nii")
+    (base / "m.csv").write_text(
+        MANIFEST_HEADER + "\n"
+        "r0,a-2mm.nii,b-2mm.nii,a-2mm.nii,,,,A,B,\n"
+        "r1,a.nii,b.nii,a.nii,,,,A,B,\n"
+    )
+    mask = harness._labels(base / "seg.nii")
+    rows = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(policy=ForegroundPolicy(mask=mask)))
+    assert rows[0].status == (
+        "error: DimsMismatch: mask (8, 8, 8) at (1.0, 1.0, 1.0) mm != grid (8, 8, 8) at (2.0, 2.0, 2.0) mm"
+    )
+    assert rows[1].ok
 
 
 def test_bad_channel_of_a_shared_file_fails_only_its_row(tmp_path, monkeypatch):
