@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimsMismatch, EmptyForeground
-from .volume import LabelVolume, VoxelGrid, _frozen_array
+from .errors import EmptyForeground
+from .volume import LabelVolume, VoxelGrid, _frozen_array, real_values, require_same_grid
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ForegroundPolicy:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted intensity samples with positive integer multiplicities.
+    """Sorted intensity samples, in their own dtype, with positive integer multiplicities.
 
     ``total`` is the exact sum of the counts as a Python int, made once
     on construction: from the one count of a zero-stride view, else by
@@ -51,7 +51,7 @@ class EmpiricalDistribution:
     total: int = field(init=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        values = real_values(self.values, "values")
         counts = np.asarray(self.counts).reshape(-1)
         if values.size < 1:
             raise ValueError("distribution needs at least one sample")
@@ -84,7 +84,7 @@ class EmpiricalDistribution:
     @classmethod
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "EmpiricalDistribution":
         """Unit-count distribution of the given sample multiset."""
-        values = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+        values = np.sort(real_values(samples, "samples"))
         return cls(values, _unit_counts(values.size))
 
     @property
@@ -135,26 +135,17 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
     """
     if policy.mask is None:
         return np.greater(grid.values, policy.threshold, signature=_ABOVE_IN_FLOAT64)
-    mask = policy.mask
-    if (mask.dims, mask.spacing) != (grid.dims, grid.spacing):
-        raise DimsMismatch(
-            f"mask {mask.dims} at {mask.spacing} mm != grid {grid.dims} at {grid.spacing} mm"
-        )
-    return mask.labels != 0
+    require_same_grid(policy.mask, "mask", grid, "grid")
+    return policy.mask.labels != 0
 
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
-    """Sorted multiset of foreground intensities, one count per voxel."""
+    """Sorted multiset of foreground intensities in the grid's dtype, one count per voxel."""
     samples = grid.values[foreground_mask(grid, policy)]  # a copy, so sorted in place
     if not samples.size:
         raise EmptyForeground(
             "no voxel passes the foreground policy; wrong threshold or unusable image"
         )
-    # Sorted in the grid's dtype, then widened: widening is exact and
-    # monotone, so the array is the one widening first would give, with
-    # no float64 copy but the result.
     samples.sort()
-    values = samples.astype(np.float64)
-    del samples  # not held while the distribution checks the widened copy
-    return EmpiricalDistribution(values, _unit_counts(values.size))
+    return EmpiricalDistribution(samples, _unit_counts(samples.size))
 

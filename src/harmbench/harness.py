@@ -213,7 +213,7 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
     records: list[TripletRecord] = []
     seen: set[tuple[str, int | None]] = set()
     for i, raw in enumerate(dicts):
-        rec = _record_from_dict(raw, path.parent, where=f"{path} record {i}")
+        rec = _record_from_dict(raw, path.parent, where=f"{path}: record {i}")
         key = (rec.id, rec.channel)
         if key in seen:
             raise DuplicateId(f"{path}: duplicate id {rec.id!r} (channel {rec.channel})")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import ForegroundPolicy, foreground_mask
-from .errors import DegenerateRange, DimsMismatch, EmptyForeground
-from .volume import VoxelGrid
+from .errors import DegenerateRange, EmptyForeground
+from .volume import VoxelGrid, require_same_grid
 
 PSNR_PERFECT = math.inf  # sentinel for a zero-error pair; aggregation skips it
 
@@ -126,11 +126,7 @@ def paired_metrics(
     grids must share dims and spacing exactly, as stored: the metrics
     pair voxel with voxel.
     """
-    if (pred.dims, pred.spacing) != (gt.dims, gt.spacing):
-        raise DimsMismatch(
-            f"pred {pred.dims} at {pred.spacing} mm != gt {gt.dims} at {gt.spacing} mm"
-        )
-
+    require_same_grid(pred, "pred", gt, "gt")
     fg = foreground_mask(pred, policy) | foreground_mask(gt, policy)
     p = pred.values[fg].astype(np.float64)
     g = gt.values[fg].astype(np.float64)

@@ -3,9 +3,10 @@
 A :class:`VoxelGrid` is an immutable 3-D scalar intensity volume with
 physical voxel spacing; a :class:`LabelVolume` is its integer-labeled
 segmentation counterpart. Values live in flat arrays in x-fastest order
-(index ``i + nx*(j + ny*k)``). A grid keeps the integer or float
-dtype it was given, so a loaded file costs its own width per voxel, and
-each metric widens to float64 only the voxels it reads. Labels keep
+(index ``i + nx*(j + ny*k)``). A grid, and a foreground distribution,
+keeps the integer or float dtype it was given (:func:`real_values`), so
+a loaded file and its foreground cost their own width per value, and
+each metric widens to float64 only the values it reads. Labels keep
 their integer dtype too, except that uint64 becomes int64.
 """
 from __future__ import annotations
@@ -14,10 +15,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteVoxel
+from .errors import DimsMismatch, NonFiniteVoxel
 
 Dims = tuple[int, int, int]
 Spacing = tuple[float, float, float]
+
+
+def real_values(values, what: str) -> np.ndarray:
+    """``values`` flat, integers and floats in their own dtype, which arithmetic
+    must widen (``float32 - 0.1`` is float32); complex raises, the rest is float64."""
+    values = np.asarray(values).reshape(-1)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {values.dtype}")
+    return values if values.dtype.kind in "iuf" else values.astype(np.float64)
+
+
+def require_same_grid(a, a_name: str, b, b_name: str) -> None:
+    """:class:`DimsMismatch` unless ``a`` and ``b`` share dims and spacing exactly, as stored."""
+    if (a.dims, a.spacing) != (b.dims, b.spacing):
+        raise DimsMismatch(f"{a_name} {a.dims} at {a.spacing} mm != {b_name} {b.dims} at {b.spacing} mm")
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -32,11 +48,8 @@ class VoxelGrid:
 
     ``values`` is flat and x-fastest, one value per voxel: a grid is one
     channel, and a multichannel file loads as one grid per channel.
-    Integer and float arrays are kept in their own dtype (anything else
-    becomes float64), so arithmetic on them must widen explicitly: under
-    numpy's promotion rules ``float32 - 0.1`` stays float32. Float
-    values must be finite. Instances are immutable and safe to share
-    across threads.
+    Values keep their dtype by :func:`real_values` and, if float, must
+    be finite. Instances are immutable and safe to share across threads.
     """
 
     dims: Dims
@@ -50,9 +63,7 @@ class VoxelGrid:
         spacing = tuple(float(s) for s in self.spacing)
         if any(not np.isfinite(s) or s <= 0 for s in spacing):
             raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
-        values = np.asarray(self.values).reshape(-1)
-        if values.dtype.kind not in "iuf":
-            values = values.astype(np.float64)
+        values = real_values(self.values, "voxel values")
         if values.size != nx * ny * nz:
             raise ValueError(f"values length {values.size} != nx*ny*nz = {nx * ny * nz}")
         # min and max carry any NaN or infinity, without a mask the size of the grid

@@ -118,10 +118,11 @@ def _side_sum(own: EmpiricalDistribution, other: EmpiricalDistribution) -> float
     array of `own`'s length. The running count of `own` is carried from
     one block to the next, and a block's levels are searched only in the
     part of `other`'s cumulative counts that its first and last level
-    bound. The gaps are scaled by the widths in place and summed pairwise
-    rather than by a BLAS dot product, whose threads would busy-wait on
-    other cores and whose partial sums would add up in an order that
-    depends on the thread count.
+    bound. Values are widened to float64, exactly, only in the gaps,
+    which are scaled by the widths in place and summed pairwise rather
+    than by a BLAS dot product, whose threads would busy-wait on other
+    cores and whose partial sums would add up in an order that depends
+    on the thread count.
     """
     n_own, n_other = own.total, other.total
     own_unit = own.n == n_own
@@ -165,7 +166,8 @@ def _side_sum(own: EmpiricalDistribution, other: EmpiricalDistribution) -> float
         np.maximum(s[1:], q[:-1], out=s[1:])
         q -= s  # widths, all positive
         del s
-        d -= own.values[lo:hi]
+        d = d.astype(np.float64, copy=False)
+        np.subtract(d, own.values[lo:hi], out=d, dtype=np.float64)
         np.abs(d, out=d)
         d[shared] *= 0.5
         d *= q

@@ -1,4 +1,6 @@
 """Foreground extraction and empirical distributions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,10 +124,11 @@ def test_weights_exact_where_the_int64_total_wraps():
     st.integers(0, 2 ** 32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_foreground_is_the_sorted_float64_widening_byte_for_byte(dtype, n, threshold, seed):
-    """Sorting in the grid's dtype and then widening gives the bytes of
-    sorting the widened samples. Signed zeros compare equal and either
-    sort may order them either way, so the grids hold no -0.0."""
+def test_foreground_is_the_sorted_samples_in_the_grid_dtype_byte_for_byte(dtype, n, threshold, seed):
+    """The foreground is the selected samples sorted in the grid's own
+    dtype, byte for byte, and value for value the sorted float64
+    widening: widening is exact and monotone. Signed zeros compare equal
+    and either sort may order them either way, so the grids hold no -0.0."""
     rng = np.random.default_rng(seed)
     info = np.finfo(dtype) if dtype == np.float32 else np.iinfo(dtype)
     special = np.array([info.min, info.max, 0, 1, 2], dtype=dtype)
@@ -142,10 +145,27 @@ def test_foreground_is_the_sorted_float64_widening_byte_for_byte(dtype, n, thres
     if not mask.any():
         return
     dist = extract_foreground(grid, policy)
-    want = np.sort(values[mask].astype(np.float64))
-    assert dist.values.dtype == np.float64
+    want = np.sort(values[mask])
+    assert dist.values.dtype == dtype
     assert dist.values.tobytes() == want.tobytes()
+    widened = np.sort(values[mask].astype(np.float64))
+    assert dist.values.astype(np.float64).tobytes() == widened.tobytes()
     assert dist.counts.tolist() == [1] * want.size
+
+
+def test_float32_foreground_makes_no_float64_copy():
+    # the samples are gathered and sorted in float32: 4 bytes a sample,
+    # plus the mask's one a voxel, where a float64 copy would add 8
+    values = np.random.default_rng(9).uniform(1.0, 300.0, 10**6).astype(np.float32)
+    grid = VoxelGrid((100, 100, 100), (1, 1, 1), values)
+    tracemalloc.start()
+    try:
+        dist = extract_foreground(grid, ForegroundPolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.n == values.size and dist.values.dtype == np.float32
+    assert peak < 8 * dist.n, f"peak {peak / dist.n:.2f} bytes per sample"
 
 
 def test_unit_counts_are_one_zero_stride_view():

@@ -192,7 +192,7 @@ def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, caps
     assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        f"error: MissingColumn: {manifest} record 1: seg_input_path and seg_pred_path must both be set or both empty"
+        f"error: MissingColumn: {manifest}: record 1: seg_input_path and seg_pred_path must both be set or both empty"
     ]
     assert not loads and not out.exists()
 
@@ -228,7 +228,9 @@ def test_bad_channel_rejects_the_manifest(tmp_path, monkeypatch, capsys, channel
     out = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: UnreadableFile: ") and "record 1" in err[0]
+    assert err == [
+        f"error: UnreadableFile: {manifest}: record 1: channel must be a non-negative integer, got '{channel}'"
+    ]
     assert not loads and not out.exists()
 
 

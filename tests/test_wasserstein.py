@@ -387,6 +387,12 @@ def test_peak_memory_is_a_few_blocks_at_any_size():
     cum_bytes = (max(c.n, d.n) + 1) * 8
     peak = _traced_peak(c, d)
     assert peak < cum_bytes + 8 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
+    # native foregrounds are widened a block at a time, never whole
+    for dtype in (np.float32, np.int16):
+        e, f = (_u(rng.normal(100.0, 20.0, n).astype(dtype)) for n in (10**6, 10**6 + 3))
+        assert e.values.dtype == f.values.dtype == dtype
+        peak = _traced_peak(e, f)
+        assert peak < 8 * block_bytes, f"{dtype.__name__} peak {peak / block_bytes:.2f} blocks"
 
 
 # --------------------------------------------------------------- normalized
