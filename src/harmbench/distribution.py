@@ -7,7 +7,7 @@ explicit mask overrides it for anything else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,63 +39,33 @@ class ForegroundPolicy:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted intensity samples, in their own dtype, with positive integer multiplicities.
+    """Sorted intensity samples in their own dtype, one entry per sample.
 
-    ``total`` is the exact sum of the counts as a Python int, made once
-    on construction: from the one count of a zero-stride view, else by
-    an int64 sum, or a Python-int one where int64 could wrap.
+    Each sample has mass 1/``n``; a value that occurs k times is k
+    entries. :meth:`from_samples` sorts unsorted samples first.
     """
 
     values: np.ndarray
-    counts: np.ndarray
-    total: int = field(init=False)
 
     def __post_init__(self):
         values = real_values(self.values, "values")
-        counts = np.asarray(self.counts).reshape(-1)
         if values.size < 1:
             raise ValueError("distribution needs at least one sample")
-        if values.size != counts.size:
-            raise ValueError("values and counts must have equal length")
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         if np.any(values[1:] < values[:-1]):  # one byte per sample, not a float64 diff
             raise ValueError("values must be nondecreasing")
-        if counts.dtype.kind not in "iu":
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
-        repeated = counts.strides == (0,)  # one count, as unit counts are given
-        if (counts[0] if repeated else counts.min()) <= 0:
-            raise ValueError("counts must be positive")
-        if repeated:
-            # kept as the read-only view, which takes no memory per sample
-            counts.flags.writeable = False
-            total = int(counts[0]) * counts.size
-        else:
-            counts = _frozen_array(counts)
-            if counts.size * int(counts.max()) < 2**63:
-                total = int(counts.sum())
-            else:
-                total = sum(counts.tolist())
         object.__setattr__(self, "values", _frozen_array(values))
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "EmpiricalDistribution":
-        """Unit-count distribution of the given sample multiset."""
-        values = np.sort(real_values(samples, "samples"))
-        return cls(values, _unit_counts(values.size))
+        """Distribution of the given sample multiset, in any order."""
+        return cls(np.sort(real_values(samples, "samples")))
 
     @property
     def n(self) -> int:
-        """Number of support points (entries of ``values``), not the total count."""
+        """Number of samples."""
         return int(self.values.size)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Probability of each support point, the counts over their exact total."""
-        return self.counts / float(self.total)
 
     @property
     def support_min(self) -> float:
@@ -108,14 +78,7 @@ class EmpiricalDistribution:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalDistribution):
             return NotImplemented
-        return np.array_equal(self.values, other.values) and np.array_equal(
-            self.counts, other.counts
-        )
-
-
-def _unit_counts(n: int) -> np.ndarray:
-    """``n`` counts of one, as a read-only zero-stride view."""
-    return np.broadcast_to(np.int64(1), n)
+        return np.array_equal(self.values, other.values)
 
 
 # The float64 loop of ``>``, which casts the voxels in buffered chunks.
@@ -140,12 +103,12 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
 
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
-    """Sorted multiset of foreground intensities in the grid's dtype, one count per voxel."""
+    """Sorted foreground intensities in the grid's dtype, one sample per voxel."""
     samples = grid.values[foreground_mask(grid, policy)]  # a copy, so sorted in place
     if not samples.size:
         raise EmptyForeground(
             "no voxel passes the foreground policy; wrong threshold or unusable image"
         )
     samples.sort()
-    return EmpiricalDistribution(samples, _unit_counts(samples.size))
+    return EmpiricalDistribution(samples)
 

@@ -299,8 +299,9 @@ def _write_gzip(f, hdr: bytes, voxels: np.ndarray) -> None:
 def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     """Write ``grid`` as a 3-D single-file NIfTI-1, float32, little-endian.
 
-    ``.gz`` paths are gzip level 1 with mtime 0 and no file name, so the
-    same grid gives the same bytes run after run and on every platform.
+    ``.gz`` paths, the suffix in any case, are gzip level 1 with mtime 0
+    and no file name, so the same grid gives the same bytes run after run
+    and on every platform.
     Each 256 KiB chunk of the voxels whose bits are all zero is not
     deflated but spliced in precompressed (see :func:`_write_gzip`); when
     no chunk is, the bytes are those ``gzip.GzipFile`` writes. A stock
@@ -340,7 +341,7 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     voxels = np.ascontiguousarray(values, dtype="<f4")
     try:
         with open(path, "wb") as f:
-            if path.suffix == ".gz":
+            if path.suffix.lower() == ".gz":
                 _write_gzip(f, hdr, voxels)
             else:
                 f.write(hdr)

@@ -76,17 +76,22 @@ def wd_cdf_integral(a_values, a_weights, b_values, b_weights, subdiv: int = 8) -
     return total
 
 
+def _ones(d) -> np.ndarray:
+    """An explicit int64 count of one for each sample of ``d``."""
+    return np.ones(d.n, dtype=np.int64)
+
+
 def wd_breakpoints_searchsorted(a, b) -> float:
     """W1 from the merged integer quantile breakpoints, each segment's
     quantiles found by binary search into either side's breakpoints.
 
-    ``a`` and ``b`` have sorted ``values`` and positive int64 ``counts``.
+    ``a`` and ``b`` have sorted ``values``, each sample a count of one.
     The library sums the same segments one side at a time instead, so
     the two agree bit for bit wherever every partial sum is exact, as on
     small integer values.
     """
-    ca = np.cumsum(a.counts)
-    cb = np.cumsum(b.counts)
+    ca = np.cumsum(_ones(a))
+    cb = np.cumsum(_ones(b))
     n_a, n_b = int(ca[-1]), int(cb[-1])
     qa, qb = ca * n_b, cb * n_a
     q = np.sort(np.concatenate([qa, qb]), kind="stable")
@@ -100,8 +105,8 @@ def wd_breakpoints_fraction(a, b) -> Fraction:
     """The merged breakpoint sum of :func:`wd_breakpoints_searchsorted`
     evaluated in exact rationals: Python-int widths, gaps between the
     exact values of the float64 support points, one exact division."""
-    ca = np.cumsum(a.counts).tolist()
-    cb = np.cumsum(b.counts).tolist()
+    ca = np.cumsum(_ones(a)).tolist()
+    cb = np.cumsum(_ones(b)).tolist()
     n_a, n_b = ca[-1], cb[-1]
     qa, qb = [k * n_b for k in ca], [j * n_a for j in cb]
     total, prev = Fraction(0), 0
@@ -143,8 +148,8 @@ def wd_side_sums_fsum(a, b) -> tuple[float, float]:
     by :func:`_two_product` and the sum of the exact terms is rounded
     once by ``math.fsum``. W1 is then the two sums over N_a·N_b.
     """
-    ca = np.cumsum(a.counts)
-    cb = np.cumsum(b.counts)
+    ca = np.cumsum(_ones(a))
+    cb = np.cumsum(_ones(b))
     n_a, n_b = int(ca[-1]), int(cb[-1])
     qa, qb = ca * n_b, cb * n_a
     q = np.union1d(qa, qb)
@@ -161,35 +166,21 @@ def wd_side_sums_fsum(a, b) -> tuple[float, float]:
 
 def wd_full_length_side_sums(a, b) -> float:
     """The library's W1 with each side's terms made in full-length arrays
-    and summed by one ``d.sum()``: the breakpoints, levels, widths and
+    and summed by one ``d.sum()``: the breakpoints, ranks, widths and
     gaps of a whole side at once, as the library made them before it
     worked one block at a time. It must give the same bits as the blocked
     sum, whose blocks are added along numpy's own pairwise tree.
     """
-    n_a, n_b = int(np.sum(a.counts)), int(np.sum(b.counts))
+    n_a, n_b = a.n, b.n
 
     def side_sum(own, other, n_own, n_other):
-        own_unit = own.n == n_own
-        if own_unit:
-            q = np.arange(1, n_own + 1, dtype=np.int64)
-        else:
-            q = np.cumsum(own.counts)
+        q = np.arange(1, n_own + 1, dtype=np.int64)
         q *= n_other
         s = q - 1
         s //= n_own
-        if other.n == n_other:
-            d = other.values[s]
-            if own_unit:
-                step = n_own // math.gcd(n_own, n_other)
-                shared = slice(step - 1, None, step)
-            else:
-                shared = q % n_own == 0
-        else:
-            cum = np.cumsum(other.counts)
-            rank = np.searchsorted(cum, s, "right")
-            d = other.values[rank]
-            shared = cum[rank] * n_own == q
-            s = np.concatenate(([0], cum))[rank]
+        d = other.values[s]
+        step = n_own // math.gcd(n_own, n_other)
+        shared = slice(step - 1, None, step)
         s *= n_own
         np.maximum(s[1:], q[:-1], out=s[1:])
         q -= s

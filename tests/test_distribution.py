@@ -14,7 +14,6 @@ from harmbench.distribution import (
 )
 from harmbench.errors import DimsMismatch, EmptyForeground
 from harmbench.volume import LabelVolume, VoxelGrid
-from harmbench.wasserstein import wasserstein_1d
 
 
 def _grid(values, dims=None):
@@ -27,8 +26,7 @@ def _grid(values, dims=None):
 def test_threshold_extraction_definition():
     dist = extract_foreground(_grid([0, 0, 2, 3]), ForegroundPolicy())
     np.testing.assert_array_equal(dist.values, [2.0, 3.0])
-    np.testing.assert_array_equal(dist.counts, [1, 1])
-    np.testing.assert_array_equal(dist.weights, [0.5, 0.5])
+    assert dist.n == 2
 
 
 def test_threshold_is_strict():
@@ -94,27 +92,13 @@ def test_monotone_maps_commute_with_extraction(f):
 
 def test_distribution_invariants_enforced():
     with pytest.raises(ValueError, match="nondecreasing"):
-        EmpiricalDistribution([2.0, 1.0], [1, 1])  # unsorted
+        EmpiricalDistribution([2.0, 1.0])  # unsorted
     with pytest.raises(ValueError, match="finite"):
-        EmpiricalDistribution([1.0, np.nan, 2.0], [1, 1, 1])  # NaN compares as in order
-    with pytest.raises(ValueError, match="positive"):
-        EmpiricalDistribution([1.0, 2.0], [1, 0])  # zero count
-    for count in (0, -1):  # one count repeated, checked once
-        with pytest.raises(ValueError, match="positive"):
-            EmpiricalDistribution([1.0, 2.0], np.broadcast_to(np.int64(count), 2))
-    with pytest.raises(ValueError, match="integers"):
-        EmpiricalDistribution([1.0, 2.0], [0.5, 0.5])  # float counts
-    with pytest.raises(ValueError, match="equal length"):
-        EmpiricalDistribution([1.0], [1, 1])  # length mismatch
-    with pytest.raises(ValueError):
-        EmpiricalDistribution([], [])
-
-
-def test_weights_exact_where_the_int64_total_wraps():
-    # 2**62 + 2**62 is 2**63, one past the int64 maximum
-    d = EmpiricalDistribution([0.0, 1.0], [2**62, 2**62])
-    assert d.total == 2**63
-    np.testing.assert_array_equal(d.weights, [0.5, 0.5])
+        EmpiricalDistribution([1.0, np.nan, 2.0])  # NaN compares as in order
+    with pytest.raises(ValueError, match="at least one sample"):
+        EmpiricalDistribution([])
+    with pytest.raises(ValueError, match="at least one sample"):
+        EmpiricalDistribution.from_samples([])
 
 
 @given(
@@ -150,7 +134,7 @@ def test_foreground_is_the_sorted_samples_in_the_grid_dtype_byte_for_byte(dtype,
     assert dist.values.tobytes() == want.tobytes()
     widened = np.sort(values[mask].astype(np.float64))
     assert dist.values.astype(np.float64).tobytes() == widened.tobytes()
-    assert dist.counts.tolist() == [1] * want.size
+    assert dist.n == want.size
 
 
 def test_float32_foreground_makes_no_float64_copy():
@@ -166,34 +150,3 @@ def test_float32_foreground_makes_no_float64_copy():
         tracemalloc.stop()
     assert dist.n == values.size and dist.values.dtype == np.float32
     assert peak < 8 * dist.n, f"peak {peak / dist.n:.2f} bytes per sample"
-
-
-def test_unit_counts_are_one_zero_stride_view():
-    rng = np.random.default_rng(5)
-    dist = extract_foreground(_grid(rng.uniform(-1.0, 3.0, 500)), ForegroundPolicy())
-    other = EmpiricalDistribution.from_samples(rng.normal(size=300))
-    for d in (dist, other):
-        assert d.counts.strides == (0,)
-        assert not d.counts.flags.writeable
-    ones = EmpiricalDistribution(dist.values, np.ones(dist.n, dtype=np.int64))
-    other_ones = EmpiricalDistribution(other.values, np.ones(other.n, dtype=np.int64))
-    assert ones.counts.strides == (8,)
-    for d in (dist, other, ones, other_ones):
-        assert type(d.total) is int and d.total == d.n
-    assert dist == ones
-    np.testing.assert_array_equal(dist.weights, ones.weights)
-    for a, b, a1, b1 in ((dist, other, ones, other_ones), (other, dist, other_ones, ones)):
-        assert wasserstein_1d(a, b).hex() == wasserstein_1d(a1, b1).hex()
-
-
-def test_repeated_count_view_takes_the_counted_path_unchanged():
-    rng = np.random.default_rng(6)
-    values = np.sort(rng.uniform(0.0, 1.0, 40))
-    twos = np.lib.stride_tricks.as_strided(np.array([2], dtype=np.int64), (40,), (0,))
-    view = EmpiricalDistribution(values, twos)
-    full = EmpiricalDistribution(values, np.full(40, 2, dtype=np.int64))
-    assert view.counts.strides == (0,) and not view.counts.flags.writeable
-    assert view == full and view.total == full.total == 80
-    np.testing.assert_array_equal(view.weights, full.weights)
-    other = EmpiricalDistribution.from_samples(rng.uniform(0.5, 1.5, 70))
-    assert wasserstein_1d(view, other).hex() == wasserstein_1d(full, other).hex()

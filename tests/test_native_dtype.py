@@ -109,10 +109,10 @@ def test_a_grid_keeps_its_dtype_and_refuses_complex_voxels():
 
 def test_a_distribution_keeps_its_dtype_and_refuses_complex_values():
     for dtype in (np.int16, np.uint8, np.float32, np.float64):
-        assert EmpiricalDistribution(np.array([1, 2], dtype), [1, 1]).values.dtype == dtype
+        assert EmpiricalDistribution(np.array([1, 2], dtype)).values.dtype == dtype
         assert EmpiricalDistribution.from_samples(np.array([2, 1], dtype)).values.dtype == dtype
-    assert EmpiricalDistribution(np.array([False, True]), [1, 1]).values.dtype == np.float64
+    assert EmpiricalDistribution(np.array([False, True])).values.dtype == np.float64
     with pytest.raises(ValueError, match=r"^values must be real, got dtype complex128$"):
-        EmpiricalDistribution(np.array([1 + 2j]), [1])
+        EmpiricalDistribution(np.array([1 + 2j]))
     with pytest.raises(ValueError, match=r"^samples must be real, got dtype complex128$"):
         EmpiricalDistribution.from_samples([1 + 2j])

@@ -154,6 +154,15 @@ def test_gzip_round_trip_and_content_detection(tmp_path):
     assert load_volume(misnamed) == grid
 
 
+def test_gzip_suffix_is_matched_in_any_case(tmp_path):
+    grid = VoxelGrid((4, 4, 4), (1, 1, 1), np.arange(64, dtype=np.float64))
+    write_volume(grid, tmp_path / "z.nii.gz")
+    upper = tmp_path / "z.nii.GZ"
+    write_volume(grid, upper)
+    assert upper.read_bytes() == (tmp_path / "z.nii.gz").read_bytes()
+    assert load_volume(upper) == grid
+
+
 def test_gzip_writes_are_deterministic(tmp_path):
     grid = VoxelGrid((4, 4, 4), (1, 1, 1), np.arange(64, dtype=np.float64))
     a, b = tmp_path / "a.nii.gz", tmp_path / "b.nii.gz"
