@@ -9,12 +9,13 @@ negative values are the diagnostic signal for severe hallucination.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoCommonStructures, ZeroInputVolume
-from .volume import LabelVolume, VoxelGrid
+from .volume import Dims, LabelCounts, LabelVolume, Spacing, VoxelGrid, _count_labels
 
 _NOT_LABELS = "segmentation voxels must be nonnegative integers"
 
@@ -29,7 +30,12 @@ class ApReport:
 
 def as_label_volume(grid: VoxelGrid) -> LabelVolume:
     """Reinterpret an integer-valued grid as a segmentation."""
-    values = grid.values
+    return LabelVolume(grid.dims, grid.spacing, _labels_of(grid.values))
+
+
+def _labels_of(values: np.ndarray) -> np.ndarray:
+    """``values`` as integer labels; ``ValueError`` unless each is a
+    nonnegative integer."""
     if values.dtype.kind == "f":
         # Range first: casting a value outside int64 has no defined result.
         top = values.max()
@@ -39,21 +45,40 @@ def as_label_volume(grid: VoxelGrid) -> LabelVolume:
         labels = values.astype(np.min_scalar_type(int(top)))
         if not np.array_equal(labels, values):
             raise ValueError(_NOT_LABELS)
-    elif values.min() < 0:
+        return labels
+    if values.min() < 0:
         raise ValueError(_NOT_LABELS)
-    else:
-        labels = values
-    return LabelVolume(grid.dims, grid.spacing, labels)
+    return values
 
 
-def structure_volumes(seg: LabelVolume) -> dict[int, float]:
+class LabelCounter:
+    """The label counts of a segmentation, counted from its voxels a piece
+    at a time, each piece checked as :func:`as_label_volume` checks a grid.
+    Pieces that together are a grid's voxels give the voxel counts of its
+    :class:`LabelVolume`, without the labels."""
+
+    def __init__(self, dims: Dims, spacing: Spacing):
+        self._grid = dims, spacing
+        self._counts: Counter[int] = Counter()
+
+    def add(self, values: np.ndarray) -> None:
+        self._counts.update(_count_labels(_labels_of(values)))
+
+    def result(self) -> LabelCounts:
+        return LabelCounts(*self._grid, dict(sorted(self._counts.items())))
+
+
+def structure_volumes(seg: LabelVolume | LabelCounts) -> dict[int, float]:
     """Physical volume in mm³ of every nonzero label present, by label."""
     voxel = seg.voxel_volume_mm3
     return {label: float(n) * voxel for label, n in seg.voxel_counts.items()}
 
 
 def anatomy_preservation(
-    seg_input: LabelVolume, seg_pred: LabelVolume, *, weighted: bool = False
+    seg_input: LabelVolume | LabelCounts,
+    seg_pred: LabelVolume | LabelCounts,
+    *,
+    weighted: bool = False,
 ) -> ApReport:
     """Volume-preservation score over the labels present in both segmentations.
 

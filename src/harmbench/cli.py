@@ -25,6 +25,7 @@ from .harness import (
     _RECORD_ERRORS,
     EvalConfig,
     TripletRecord,
+    _label_counts,
     _labels,
     _single_channel,
     _status,
@@ -193,7 +194,7 @@ def _cmd_ap(ns, config: EvalConfig) -> int:
     legend = ns.labels
     segs = []
     for path in (ns.seg_input, ns.seg_pred):
-        segs.append(_labels(path))
+        segs.append(_label_counts(path))
         unnamed = [k for k in segs[-1].voxel_counts if legend and k not in legend]
         if unnamed:
             raise ValueError(f"labels {unnamed} present in volume but absent from legend")

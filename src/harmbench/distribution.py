@@ -104,11 +104,38 @@ def foreground_mask(grid: VoxelGrid, policy: ForegroundPolicy) -> np.ndarray:
 
 def extract_foreground(grid: VoxelGrid, policy: ForegroundPolicy) -> EmpiricalDistribution:
     """Sorted foreground intensities in the grid's dtype, one sample per voxel."""
-    samples = grid.values[foreground_mask(grid, policy)]  # a copy, so sorted in place
+    return _sorted_foreground(grid.values[foreground_mask(grid, policy)])  # a copy, sorted in place
+
+
+class ForegroundSamples:
+    """A threshold foreground gathered from a grid's voxels a piece at a time.
+
+    ``add`` keeps the voxels of each piece that are above ``threshold``,
+    compared as :func:`foreground_mask` compares them; ``result`` then
+    sorts them all. Pieces that together are a grid's voxels, added in
+    its order, give :func:`extract_foreground`'s distribution without the
+    grid or its mask; so this is a sink of
+    :func:`harmbench.nifti.scan_volume` for a file of one channel.
+    """
+
+    def __init__(self, threshold: float):
+        self._threshold = threshold
+        self._parts: list[np.ndarray] = []
+
+    def add(self, values: np.ndarray) -> None:
+        self._parts.append(values[np.greater(values, self._threshold, signature=_ABOVE_IN_FLOAT64)])
+
+    def result(self) -> EmpiricalDistribution:
+        samples = np.concatenate(self._parts)
+        self._parts = []
+        return _sorted_foreground(samples)
+
+
+def _sorted_foreground(samples: np.ndarray) -> EmpiricalDistribution:
+    """The distribution of foreground ``samples``, sorted in place."""
     if not samples.size:
         raise EmptyForeground(
             "no voxel passes the foreground policy; wrong threshold or unusable image"
         )
     samples.sort()
     return EmpiricalDistribution(samples)
-

@@ -11,8 +11,10 @@ count and sentinel count carried alongside.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import os
 import threading
 from collections import Counter
@@ -24,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anatomy import ApReport, anatomy_preservation, as_label_volume
-from .distribution import ForegroundPolicy, extract_foreground
+from .anatomy import ApReport, LabelCounter, anatomy_preservation, as_label_volume
+from .distribution import ForegroundPolicy, ForegroundSamples, extract_foreground
 from .errors import (
     DuplicateId,
     HarmbenchError,
@@ -34,10 +36,10 @@ from .errors import (
     UnreadableFile,
     UnsupportedFormat,
 )
-from .nifti import load_volume
+from .nifti import load_volume, scan_volume
 from .reference import PairedMetricRow, SsimParams, paired_metrics
 from .stats import mean_std, sentinel_count
-from .volume import LabelVolume, VoxelGrid
+from .volume import LabelCounts, LabelVolume, VoxelGrid
 from .wasserstein import DEFAULT_VERDICT_TOL, Verdict, WdPair, classify, nwd
 
 REQUIRED_COLUMNS = ("id", "input_path", "target_path", "pred_path", "site_in", "site_out")
@@ -225,28 +227,130 @@ def load_manifest(path: str | Path) -> list[TripletRecord]:
 # --------------------------------------------------------------- evaluation
 
 
-def _single_channel(loaded: VoxelGrid | tuple[VoxelGrid, ...], path: Path, channel: int | None) -> VoxelGrid:
-    """Channel ``channel`` of the intensity file ``path``, as ``load_volume``
-    gave it; a file of several channels needs one named. Either failure
-    names the file."""
-    channels = loaded if isinstance(loaded, tuple) else (loaded,)
-    if channel is None and len(channels) > 1:
+def _channel_index(path: Path, channel: int | None, channels: int) -> int:
+    """The index of channel ``channel`` of the intensity file ``path`` of
+    ``channels`` channels; a file of several needs one named. Either
+    failure names the file."""
+    if channel is None and channels > 1:
         raise ValueError(
-            f"{path} has {len(channels)} channels; score each with evaluate, "
+            f"{path} has {channels} channels; score each with evaluate, "
             "one manifest row per 'channel'"
         )
-    if (channel or 0) >= len(channels):
-        raise ValueError(f"channel {channel} out of range for {len(channels)}-channel file {path}")
-    return channels[channel or 0]
+    if (channel or 0) >= channels:
+        raise ValueError(f"channel {channel} out of range for {channels}-channel file {path}")
+    return channel or 0
+
+
+def _single_channel(loaded: VoxelGrid | tuple[VoxelGrid, ...], path: Path, channel: int | None) -> VoxelGrid:
+    """Channel ``channel`` of the intensity file ``path``, as ``load_volume``
+    gave it (see :func:`_channel_index`)."""
+    channels = loaded if isinstance(loaded, tuple) else (loaded,)
+    return channels[_channel_index(path, channel, len(channels))]
+
+
+def _one_channel_only(path: Path, channels: int) -> ValueError:
+    """The error of a segmentation or mask file of several channels: no
+    column selects a channel of it."""
+    return ValueError(f"{path} has {channels} channels; a segmentation or mask has one")
 
 
 def _labels(path: Path) -> LabelVolume:
-    """The label volume of the segmentation or mask file ``path``, which
-    must have one channel: no column selects a channel of it."""
+    """The label volume of the segmentation or mask file ``path``."""
     loaded = load_volume(path)
     if isinstance(loaded, tuple):
-        raise ValueError(f"{path} has {len(loaded)} channels; a segmentation or mask has one")
+        raise _one_channel_only(path, len(loaded))
     return as_label_volume(loaded)
+
+
+def _label_counts(path: Path) -> LabelCounts:
+    """The label counts of the segmentation file ``path``, counted as it is
+    read, and failing as :func:`_labels` fails."""
+
+    def counter(dims, spacing, channels):
+        if channels > 1:
+            raise _one_channel_only(path, channels)
+        return LabelCounter(dims, spacing)
+
+    return scan_volume(path, counter)
+
+
+class _Foregrounds:
+    """The foregrounds the rows take of an intensity file, gathered as it is
+    read: per channel in ``wants``, the status of failing to select it or a
+    (foreground, None) entry, the foreground being the status of failing
+    to extract it, as :func:`_entries` makes them of the whole grid."""
+
+    def __init__(self, path, wants, threshold, dims, spacing, channels):
+        self._size, self._start = math.prod(dims), 0
+        self._entries: dict[int | None, str | int] = {}
+        self._samples: dict[int, ForegroundSamples] = {}
+        for channel in wants:
+            try:
+                index = _channel_index(path, channel, channels)
+            except ValueError as exc:
+                self._entries[channel] = _status(exc)
+                continue
+            self._entries[channel] = index
+            self._samples.setdefault(index, ForegroundSamples(threshold))
+
+    def add(self, values: np.ndarray) -> None:
+        start, stop = self._start, self._start + values.size
+        for index, samples in self._samples.items():
+            lo, hi = max(index * self._size, start), min((index + 1) * self._size, stop)
+            if lo < hi:
+                samples.add(values[lo - start : hi - start])
+        self._start = stop
+
+    def result(self) -> dict:
+        made = {}
+        for index, samples in self._samples.items():
+            try:
+                made[index] = (samples.result(), None)
+            except _RECORD_ERRORS as exc:
+                made[index] = (_status(exc), None)
+        return {c: entry if isinstance(entry, str) else made[entry] for c, entry in self._entries.items()}
+
+
+def _entries(loaded, path: Path, wants, policy: ForegroundPolicy) -> dict:
+    """Per channel in ``wants``, the status of failing to select it from the
+    loaded file or its (foreground, grid) entry, each ``None`` unless a row
+    wants it; the foreground may be the status of failing to extract it."""
+    entries = {}
+    for channel, parts in wants.items():
+        try:
+            grid = _single_channel(loaded, path, channel)
+        except _RECORD_ERRORS as exc:
+            entries[channel] = _status(exc)
+            continue
+        foreground = None
+        if "foreground" in parts:
+            try:
+                foreground = extract_foreground(grid, policy)
+            except _RECORD_ERRORS as exc:
+                foreground = _status(exc)
+        entries[channel] = (foreground, grid if "grid" in parts else None)
+    return entries
+
+
+def _decode_file(path: Path, wants: dict[int | None, set[str]] | None, policy: ForegroundPolicy):
+    """What the rows take of the file ``path``, or the status of failing to
+    read it: the label counts of a ``seg_*`` file (``wants`` is None), else
+    the entries of an intensity file for the parts of it that ``wants``
+    names per channel (see :func:`_entries`).
+
+    Only a grid a row takes, for the gt metrics, or a foreground under an
+    explicit mask needs the whole file decoded; every other product is
+    made as the file is read, and no decoded copy of it is kept.
+    """
+    try:
+        if wants is None:
+            return _label_counts(path)
+        if policy.mask is None and not any("grid" in parts for parts in wants.values()):
+            return scan_volume(path, functools.partial(_Foregrounds, path, wants, policy.threshold))
+        loaded = load_volume(path)
+    except _RECORD_ERRORS as exc:
+        return _status(exc)
+    return _entries(loaded, path, wants, policy)
 
 
 class _SharedFiles:
@@ -261,7 +365,7 @@ class _SharedFiles:
       foreground, or the status of failing to extract it, for rows taking
       the file as input, target or prediction; the grid for the gt
       metrics, of a gt or of the prediction of a row with gt.
-    * ``("seg", path)``, the label volume of a ``seg_*`` column.
+    * ``("seg", path)``, the label counts of a ``seg_*`` column.
 
     Each product is one future, made by whichever thread claims it
     first. A record submits, when it starts, a decode of each of its
@@ -342,35 +446,11 @@ class _SharedFiles:
                 return False
             future.set_running_or_notify_cancel()
         try:
-            future.set_result(self._decode(key))
+            future.set_result(_decode_file(self._path[key], self._wants.get(key), self._config.policy))
         except BaseException as exc:
             future.set_exception(exc)
             raise
         return True
-
-    def _decode(self, key: tuple[str, str]):
-        kind, path = key[0], self._path[key]
-        try:
-            if kind == "seg":
-                return _labels(path)
-            loaded = load_volume(path)
-        except _RECORD_ERRORS as exc:
-            return _status(exc)
-        entries = {}
-        for channel, parts in self._wants[key].items():
-            try:
-                grid = _single_channel(loaded, path, channel)
-            except _RECORD_ERRORS as exc:
-                entries[channel] = _status(exc)
-                continue
-            foreground = None
-            if "foreground" in parts:
-                try:
-                    foreground = extract_foreground(grid, self._config.policy)
-                except _RECORD_ERRORS as exc:
-                    foreground = _status(exc)
-            entries[channel] = (foreground, grid if "grid" in parts else None)
-        return entries
 
     def take(self, kind: str, path: Path, owed: Counter, channel: int | None = None):
         """The product, once made, counting off one of the uses in ``owed``;

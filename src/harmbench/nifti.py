@@ -2,35 +2,43 @@
 
 Parses the 348-byte binary header directly (both byte orders, inferred
 from the ``sizeof_hdr`` field reading as 348) and keeps the voxels in
-the file's own dtype, as a read-only view of the decoded file: only a
-``scl_slope`` / ``scl_inter`` scaling widens them to float64. Gzip
-containers are auto-detected from the leading two bytes, not the file
-extension. Each load parses the header once. Axes past its rank
-``dim[0]`` are ignored: they have extent 1 and spacing 1.0, whatever
-the header stores there; axes 4 and up are channels, and a file with
-several loads as one grid per channel. Paired
-``.hdr``/``.img`` volumes (magic ``ni1``) are rejected: every
-referenced dataset ships single-file volumes, and the split layout
-would double the parser surface for nothing.
+the file's own dtype, in native byte order: only a ``scl_slope`` /
+``scl_inter`` scaling widens them to float64. Gzip containers are
+auto-detected from the leading two bytes, not the file extension. Each
+load parses the header once. Axes past its rank ``dim[0]`` are ignored:
+they have extent 1 and spacing 1.0, whatever the header stores there;
+axes 4 and up are channels, and a file with several loads as one grid
+per channel. Paired ``.hdr``/``.img`` volumes (magic ``ni1``) are
+rejected: every referenced dataset ships single-file volumes, and the
+split layout would double the parser surface for nothing.
+
+A file is read in pieces and a gzip file inflated member by member with
+``zlib.decompressobj``, never into a buffer of the whole decoded file.
+``load_volume`` reads the voxels straight into one array;
+``scan_volume`` hands them, about 1 MiB at a time, to a consumer that
+keeps only what it makes of them (a foreground's samples, label counts).
+Both reject a bad file alike, with the same typed error.
 
 Orientation is not carried into the loaded grid: ``load_volume``
 drops the header, and only ``parse_header(...).affine`` exposes the
 sform affine (the qform is not decoded). No metric in this package
 consumes orientation.
 
-Gzip writes are standard single-member gzip at level 1. A run of
-all-zero 256 KiB payload chunks, the background of a skull-stripped
-volume, is not deflated: each of its chunks is written as one copy of a
-precompressed deflate block of 256 KiB of zeros. A grid with no
-all-zero chunk is written byte for byte as ``gzip.GzipFile`` writes it.
+Gzip writes are standard single-member gzip at level 1, made 256 KiB of
+float32 payload at a time. A run of all-zero chunks, the background of
+a skull-stripped volume, is not deflated: each of its chunks is written
+as one copy of a precompressed deflate block of 256 KiB of zeros. A
+grid with no all-zero chunk is written byte for byte as
+``gzip.GzipFile`` writes it.
 """
 from __future__ import annotations
 
 import functools
 import gzip
-import itertools
+import io
 import logging
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -46,7 +54,7 @@ from .errors import (
     TruncatedData,
     UnsupportedDatatype,
 )
-from .volume import VoxelGrid
+from .volume import VoxelGrid, all_finite
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +69,13 @@ _GZIP_HEADER = GZIP_MAGIC + b"\x08\x00" + bytes(4) + b"\x04\xff"
 # all-zero payload chunks of this size are spliced in precompressed; a smaller
 # chunk splices more of a phantom but inflates slower (2**14: +20% on a 128^3 phantom)
 _ZERO_CHUNK = 1 << 18
-_DEFLATE_MAX_RATIO = 1032  # deflate's largest output per input byte
+# deflate's largest output per input byte: a gzip file whose header asks for
+# more voxel bytes than that many times its size is truncated
+_DEFLATE_MAX_RATIO = 1032
+# compressed bytes read, and the most inflated by one zlib call, at a time
+_READ = 1 << 15
+# voxel bytes of each piece a streamed read decodes
+_PIECE = 1 << 20
 
 # datatype code -> numpy dtype (byte order applied at read time)
 _DTYPES = {
@@ -168,57 +182,210 @@ def parse_header(buf: bytes, *, name: str = "<buffer>") -> NiftiHeader:
     )
 
 
-def _decode(buf: bytes, path: Path):
-    """The header of the decoded file ``buf``, its layout (the grid's
-    dims, channel count and spacing) and a view of its voxels."""
-    hdr = parse_header(buf, name=str(path))
+class _Damaged(Exception):
+    """The gzip stream ended inside a member or had bytes that are not one."""
+
+
+class _Inflated:
+    """The decoded bytes of an open gzip file, inflated member by member.
+
+    ``readinto`` reads ``_READ`` compressed bytes at a time and inflates
+    at most that many per zlib call, so it holds no more than that
+    beside the caller's buffer. zlib checks each member's CRC and length.
+    """
+
+    def __init__(self, f):
+        self._f = f
+        self._member = zlib.decompressobj(31)
+        self._fed = False  # whether the open member has taken input
+        self._in = b""
+
+    def readinto(self, view: memoryview) -> int:
+        """Fill ``view``; fewer bytes only at the end of the stream."""
+        done = 0
+        while done < len(view):
+            data = self._in or self._f.read(_READ)
+            self._fed = self._fed or bool(data)
+            out = self._member.decompress(data, min(len(view) - done, _READ))
+            view[done : done + len(out)] = out
+            done += len(out)
+            if self._member.eof:
+                self._in = self._member.unused_data
+                self._member, self._fed = zlib.decompressobj(31), False
+            else:
+                self._in = self._member.unconsumed_tail
+            if not data and not out:
+                if self._fed:
+                    raise _Damaged
+                break
+        return done
+
+
+def _skip(stream, n: float) -> int:
+    """Read past up to ``n`` bytes of ``stream``; how many there were."""
+    scratch = memoryview(bytearray(int(min(n, _READ))))
+    done = 0
+    while done < n:
+        got = stream.readinto(scratch[: int(min(n - done, _READ))])
+        if not got:
+            break
+        done += got
+    return done
+
+
+def _native(raw: np.ndarray, scale: tuple[float, float] | None) -> np.ndarray:
+    """The voxels ``raw``, read in the file's dtype, widened to float64 and
+    scaled by ``scale`` (slope, intercept) if given, else in native byte
+    order, swapped in place."""
+    if scale is not None:
+        values = raw.astype(np.float64)
+        values *= scale[0]
+        values += scale[1]
+        return values
+    if not raw.dtype.isnative:
+        return raw.byteswap(inplace=True).view(raw.dtype.newbyteorder("="))
+    return raw
+
+
+def _decode(stream, size: int, path: Path, sink, piece: int | None):
+    """Decode the NIfTI file ``stream`` into a sink; the sink's result.
+
+    ``size`` bounds the decoded file's length. The header makes the sink,
+    ``sink(dims, spacing, channels)``; its ``add`` takes the voxels in
+    file order, native and scaled, ``piece`` bytes at a time, or all at
+    once if ``piece`` is None, and ``result()`` gives what it made of
+    them. Each failure waits for those before it in reading order: the
+    header's, then a truncation, a non-finite voxel (pieces are checked
+    as they are read; whole voxels only by the sink), then the first
+    failure of ``add``, whose later pieces the sink then does not get.
+    """
+    head = bytearray(HEADER_SIZE)
+    total = stream.readinto(memoryview(head))
+    try:
+        hdr = parse_header(head[:total], name=str(path))
+    except HarmbenchError:
+        _skip(stream, math.inf)  # a damaged gzip container outranks its header
+        raise
+    slope, inter, scale = hdr.scl_slope, hdr.scl_inter, None
+    if not (math.isfinite(slope) and math.isfinite(inter)):
+        log.warning("%s: non-finite scl_slope/scl_inter; scaling skipped", path)
+    elif slope != 0.0 and (slope, inter) != (1.0, 0.0):
+        if slope != 1.0:
+            log.info("%s: applying scl_slope=%r scl_inter=%r", path, slope, inter)
+        scale = slope, inter
     rank = hdr.dim[0]
     dims = tuple(hdr.dim[a] if a <= rank else 1 for a in (1, 2, 3))
     spacing = tuple(hdr.pixdim[a] if a <= rank else 1.0 for a in (1, 2, 3))
     channels = math.prod(hdr.dim[4 : rank + 1])
     offset, count = int(round(hdr.vox_offset)), math.prod(dims) * channels
-
     dtype = _DTYPES[hdr.datatype].newbyteorder(hdr.byte_order)
     need = count * dtype.itemsize
-    if len(buf) - offset < need:
+
+    total += _skip(stream, offset - HEADER_SIZE)
+    starts = range(0, count, count if piece is None else max(piece // dtype.itemsize, 1))
+    if need > size:
+        starts = ()  # no grid of forged dims is allocated
+    consumer, failure, finite = None, None, True
+    try:
+        consumer = sink(dims, spacing, channels)
+    except Exception as exc:  # raised, as a failure of add is, once every voxel is read
+        failure = exc
+    for start in starts:
+        raw = np.empty(min(starts.step, count - start), dtype)
+        got = stream.readinto(memoryview(raw).cast("B"))
+        total += got
+        if got < raw.nbytes:
+            break
+        values = _native(raw, scale)
+        if piece is not None and finite:
+            finite = all_finite(values)
+        if finite and failure is None:
+            try:
+                consumer.add(values)
+            except Exception as exc:
+                failure = exc
+        del raw, values
+    total += _skip(stream, math.inf)  # the rest of a gzip container is checked too
+    if total - offset < need:
         raise TruncatedData(
             f"{path}: need {need} data bytes at offset {offset}, file has "
-            f"{max(len(buf) - offset, 0)}"
+            f"{max(total - offset, 0)}"
         )
-    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-    return hdr, dims, channels, spacing, values
+    try:
+        if not finite:
+            raise NonFiniteVoxel
+        if failure is not None:
+            raise failure
+        return consumer.result()
+    except NonFiniteVoxel:
+        raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity") from None
+    finally:
+        failure = None  # no cycle through its traceback
 
 
-def _read(path: Path):
+def _scan(path: str | Path, sink, piece: int | None):
     """:func:`_decode` of the file, inflated if it starts with the gzip magic.
 
-    A single-member gzip file is inflated by one zlib call into a buffer
-    of the size its ISIZE trailer declares, capped at what deflate can
-    expand the file to, so a forged trailer cannot allocate gigabytes;
-    zlib checks the CRC and the length. zlib stops silently after the
-    first member, and a first member may be as long as the last one's
-    ISIZE, so the output is kept only if it also holds the voxels its
-    header asks for. Otherwise the file is decoded again member by
-    member, which also types the error.
+    A gzip file is inflated a piece at a time, member by member. If the
+    stream is damaged, or anything about it is one zlib and ``gzip``
+    take differently (say, zero padding after the last member), the
+    whole file is inflated again by ``gzip.decompress``, which types
+    the error, or whose output is decoded instead.
     """
-    buf = path.read_bytes()
-    if buf[:2] != GZIP_MAGIC:
-        return _decode(buf, path)
-    isize = int.from_bytes(buf[-4:], "little")
+    path = Path(path)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(2) != GZIP_MAGIC:
+            f.seek(0)
+            return _decode(f, size, path, sink, piece)
+        f.seek(0)
+        try:
+            return _decode(_Inflated(f), _DEFLATE_MAX_RATIO * size, path, sink, piece)
+        except (_Damaged, zlib.error):
+            pass
     try:
-        out = zlib.decompress(buf, 31, min(isize, _DEFLATE_MAX_RATIO * len(buf)) or 1)
-        if len(out) == isize:
-            return _decode(out, path)
-    except (zlib.error, HarmbenchError):
-        pass
-    out = None  # not alive beside the second inflate
-    try:
-        out = gzip.decompress(buf)
+        buf = gzip.decompress(path.read_bytes())
     except (gzip.BadGzipFile, zlib.error) as exc:
         raise MalformedHeader(f"{path}: corrupt gzip container: {exc}") from exc
     except EOFError as exc:
         raise TruncatedData(f"{path}: truncated gzip stream") from exc
-    return _decode(out, path)
+    return _decode(io.BytesIO(buf), len(buf), path, sink, piece)
+
+
+def scan_volume(path: str | Path, sink):
+    """What ``sink`` makes of the voxels of a plain or gzipped NIfTI-1
+    file, read a piece of about 1 MiB at a time: no decoded copy of the
+    whole file is made.
+
+    ``sink(dims, spacing, channels)`` is called once the header is read;
+    the object it returns gets every voxel by ``add(values)``, a piece at
+    a time in file order (channel after channel), in native byte order
+    and scaled as :func:`load_volume` gives them, and then ``result()``,
+    whose value this returns. A file that :func:`load_volume` rejects is
+    rejected with the same error, before ``result()`` is called; so is a
+    failure of ``add``, which is raised only once the file has been read
+    to its end and found sound.
+    """
+    return _scan(path, sink, _PIECE)
+
+
+class _Grids:
+    """The grid, or one per channel, of all the voxels of a file at once."""
+
+    def __init__(self, dims, spacing, channels):
+        self._layout = dims, spacing, channels
+
+    def add(self, values: np.ndarray) -> None:
+        self._values = values
+
+    def result(self) -> VoxelGrid | tuple[VoxelGrid, ...]:
+        dims, spacing, channels = self._layout
+        if channels == 1:
+            return VoxelGrid(dims, spacing, self._values)
+        n = math.prod(dims)
+        return tuple(
+            VoxelGrid(dims, spacing, self._values[c * n : (c + 1) * n]) for c in range(channels)
+        )
 
 
 def load_volume(path: str | Path) -> VoxelGrid | tuple[VoxelGrid, ...]:
@@ -226,34 +393,12 @@ def load_volume(path: str | Path) -> VoxelGrid | tuple[VoxelGrid, ...]:
 
     A file of one channel is one grid; a file of several (axes 4 to 7
     multiplied) is a tuple of grids, one per channel in file order, each
-    a view into the one decoded buffer. The voxels keep the file's dtype
-    in native byte order; they are a read-only view of the decoded file
-    unless it was big-endian. Only ``scl_slope``/``scl_inter`` scaling,
-    applied per the standard (slope 0 means no scaling), widens them to
-    float64.
+    a view into one array. The voxels are read, or inflated, straight
+    into that array, in the file's dtype and then native byte order;
+    only ``scl_slope``/``scl_inter`` scaling, applied per the standard
+    (slope 0 means no scaling), widens them to float64.
     """
-    path = Path(path)
-    hdr, dims, channels, spacing, values = _read(path)
-
-    slope, inter = hdr.scl_slope, hdr.scl_inter
-    if not (math.isfinite(slope) and math.isfinite(inter)):
-        log.warning("%s: non-finite scl_slope/scl_inter; scaling skipped", path)
-    elif slope != 0.0 and (slope, inter) != (1.0, 0.0):
-        if slope != 1.0:
-            log.info("%s: applying scl_slope=%r scl_inter=%r", path, slope, inter)
-        values = values.astype(np.float64)
-        values *= slope
-        values += inter
-    if not values.dtype.isnative:
-        values = values.astype(values.dtype.newbyteorder("="))
-
-    try:
-        if channels == 1:
-            return VoxelGrid(dims, spacing, values)
-        n = math.prod(dims)
-        return tuple(VoxelGrid(dims, spacing, values[c * n : (c + 1) * n]) for c in range(channels))
-    except NonFiniteVoxel:
-        raise NonFiniteVoxel(f"{path}: voxel data contains NaN or infinity") from None
+    return _scan(path, _Grids, None)
 
 
 @functools.cache
@@ -264,36 +409,43 @@ def _deflated_zero_chunk() -> bytes:
     return deflate.compress(bytes(_ZERO_CHUNK)) + deflate.flush(zlib.Z_FULL_FLUSH)
 
 
-def _write_gzip(f, hdr: bytes, voxels: np.ndarray) -> None:
-    """Write ``hdr`` and ``voxels`` to ``f`` as one gzip member, splicing in
-    :func:`_deflated_zero_chunk` for each all-zero chunk of the voxels.
+def _float32_chunks(values: np.ndarray):
+    """The voxels as little-endian float32 bytes, ``_ZERO_CHUNK`` at a time,
+    each converted into the one buffer the last was."""
+    buf = np.empty(_ZERO_CHUNK // 4, "<f4")
+    for start in range(0, values.size, buf.size):
+        chunk = buf[: min(buf.size, values.size - start)]
+        np.copyto(chunk, values[start : start + chunk.size], casting="unsafe")
+        yield memoryview(chunk).cast("B")
 
-    The voxels are scanned in ``_ZERO_CHUNK``-byte chunks from their first
-    byte, bit for bit (``-0.0`` is not zero). Everything else goes through
-    one deflate stream, which is fully flushed before each run of zero
-    chunks so that no later match reaches back across the splice. With
-    no zero chunk, that stream is exactly ``GzipFile``'s.
+
+def _write_gzip(f, hdr: bytes, chunks) -> None:
+    """Write ``hdr`` and the voxel ``chunks`` to ``f`` as one gzip member,
+    splicing in :func:`_deflated_zero_chunk` for each all-zero chunk.
+
+    A chunk is zero if its bits are (``-0.0`` is not zero) and it is a
+    whole ``_ZERO_CHUNK`` long. Everything else goes through one deflate
+    stream, which is fully flushed before each run of zero chunks so that
+    no later match reaches back across the splice. With no zero chunk,
+    that stream is exactly ``GzipFile``'s.
     """
-    data = memoryview(voxels).cast("B")
-    chunks = len(data) // _ZERO_CHUNK
-    words = np.frombuffer(data, np.uint64, count=chunks * _ZERO_CHUNK // 8)
-    zero = ~words.reshape(chunks, _ZERO_CHUNK // 8).any(axis=1)
-    # alternating first and past-last chunk of each zero run
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False)).tolist()
-
     deflate = zlib.compressobj(_GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     f.write(_GZIP_HEADER)
     f.write(deflate.compress(hdr))
-    done = 0
-    for first, last in zip(edges[::2], edges[1::2]):
-        f.write(deflate.compress(data[done : first * _ZERO_CHUNK]))
-        f.write(deflate.flush(zlib.Z_FULL_FLUSH))
-        f.writelines(itertools.repeat(_deflated_zero_chunk(), last - first))
-        done = last * _ZERO_CHUNK
-    f.write(deflate.compress(data[done:]))
+    crc, size, spliced = zlib.crc32(hdr), len(hdr), False
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        size += len(chunk)
+        if len(chunk) == _ZERO_CHUNK and not np.frombuffer(chunk, np.uint64).any():
+            if not spliced:
+                f.write(deflate.flush(zlib.Z_FULL_FLUSH))
+            f.write(_deflated_zero_chunk())
+            spliced = True
+        else:
+            f.write(deflate.compress(chunk))
+            spliced = False
     f.write(deflate.flush())
-    crc = zlib.crc32(data, zlib.crc32(hdr))
-    f.write(struct.pack("<2I", crc, (len(hdr) + len(data)) & 0xFFFFFFFF))
+    f.write(struct.pack("<2I", crc, size & 0xFFFFFFFF))
 
 
 def write_volume(grid: VoxelGrid, path: str | Path) -> None:
@@ -307,9 +459,10 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     no chunk is, the bytes are those ``gzip.GzipFile`` writes. A stock
     128^3 phantom is written about 4 times faster than at level 9, and
     its segmentation 7 times, though the segmentation takes 50 kB instead
-    of 12 kB and a dense intensity volume about 2% more. The header and
-    the voxels go to the file as they are compressed, with no joined copy
-    of the payload.
+    of 12 kB and a dense intensity volume about 2% more. The voxels are
+    converted to float32, checked for zero chunks, compressed, checksummed
+    and written one 256 KiB chunk at a time, so a write holds no float32
+    copy of the grid.
     """
     path = Path(path)
     values = grid.values
@@ -338,13 +491,13 @@ def write_volume(grid: VoxelGrid, path: str | Path) -> None:
     struct.pack_into("<3f", hdr, 108, 352.0, 1.0, 0.0)  # vox_offset, slope, inter
     hdr[344:348] = MAGIC_SINGLE
 
-    voxels = np.ascontiguousarray(values, dtype="<f4")
+    chunks = _float32_chunks(values)
     try:
         with open(path, "wb") as f:
             if path.suffix.lower() == ".gz":
-                _write_gzip(f, hdr, voxels)
+                _write_gzip(f, hdr, chunks)
             else:
                 f.write(hdr)
-                f.write(voxels)
+                f.writelines(chunks)
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc

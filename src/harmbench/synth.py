@@ -31,8 +31,9 @@ from .volume import LabelVolume, VoxelGrid
 
 INTENSITY_FLOOR = 1e-3  # keeps foreground strictly positive through the site map
 # Volumes ``write_synthetic_dataset`` has in flight on its writer pool while
-# it renders the next phantom. Each holds its float64 grid and a float32
-# copy until written; on two cores a third gained little speed for that.
+# it renders the next phantom. Each holds its float64 grid until written
+# (a write converts it 256 KiB at a time); on two cores a third gained
+# little speed for that.
 _WRITES_IN_FLIGHT = 2
 
 

@@ -30,6 +30,12 @@ def real_values(values, what: str) -> np.ndarray:
     return values if values.dtype.kind in "iuf" else values.astype(np.float64)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether no value is NaN or infinite: min and max carry any such value,
+    without a mask the size of the array. Integers always are."""
+    return values.dtype.kind != "f" or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def require_same_grid(a, a_name: str, b, b_name: str) -> None:
     """:class:`DimsMismatch` unless ``a`` and ``b`` share dims and spacing exactly, as stored."""
     if (a.dims, a.spacing) != (b.dims, b.spacing):
@@ -66,10 +72,7 @@ class VoxelGrid:
         values = real_values(self.values, "voxel values")
         if values.size != nx * ny * nz:
             raise ValueError(f"values length {values.size} != nx*ny*nz = {nx * ny * nz}")
-        # min and max carry any NaN or infinity, without a mask the size of the grid
-        if values.dtype.kind == "f" and not (
-            np.isfinite(values.min()) and np.isfinite(values.max())
-        ):
+        if not all_finite(values):
             raise NonFiniteVoxel("voxel values must all be finite")
         object.__setattr__(self, "dims", (nx, ny, nz))
         object.__setattr__(self, "spacing", spacing)
@@ -135,6 +138,22 @@ class LabelVolume:
             and self.spacing == other.spacing
             and np.array_equal(self.labels, other.labels)
         )
+
+
+@dataclass(frozen=True)
+class LabelCounts:
+    """The voxel count of every nonzero label of a segmentation, ascending
+    by label, with its grid's dims and spacing: what anatomy preservation
+    reads of a :class:`LabelVolume`, without the labels themselves."""
+
+    dims: Dims
+    spacing: Spacing
+    voxel_counts: dict[int, int]
+
+    @property
+    def voxel_volume_mm3(self) -> float:
+        sx, sy, sz = self.spacing
+        return sx * sy * sz
 
 
 # bincount's table holds one int64 per id up to the largest label. It is

@@ -178,7 +178,7 @@ def wd_full_length_side_sums(a, b) -> float:
         q *= n_other
         s = q - 1
         s //= n_own
-        d = other.values[s]
+        d = other.values[s].astype(np.float64)  # widened before the gap, as the library does
         step = n_own // math.gcd(n_own, n_other)
         shared = slice(step - 1, None, step)
         s *= n_own

@@ -544,13 +544,13 @@ def test_refmetrics_on_a_four_d_file_is_one_error_line_naming_it(golden_dataset,
 def test_wd_reads_a_file_named_twice_once(volume_pair, monkeypatch, capsys):
     from harmbench import harness
 
-    loaded, load = [], harness.load_volume
+    loaded, decode = [], harness._decode_file
 
-    def load_volume(path):
+    def decode_file(path, *args):
         loaded.append(Path(path).name)
-        return load(path)
+        return decode(path, *args)
 
-    monkeypatch.setattr(harness, "load_volume", load_volume)
+    monkeypatch.setattr(harness, "_decode_file", decode_file)
     a, b = str(volume_pair / "a.nii"), str(volume_pair / "b.nii")
     assert run(["wd", "--input", a, "--target", b, "--pred", a]) == 0
     assert sorted(loaded) == ["a.nii", "b.nii"]

@@ -16,9 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from harmbench import nifti
 from harmbench.errors import (
     DegenerateNormalizer,
     DuplicateId,
+    HarmbenchError,
     MissingColumn,
     NoSuccessfulRows,
     UnreadableFile,
@@ -26,7 +28,7 @@ from harmbench.errors import (
 )
 from harmbench import harness
 from harmbench.cli import run
-from harmbench.distribution import ForegroundPolicy
+from harmbench.distribution import EmpiricalDistribution, ForegroundPolicy
 from harmbench.harness import (
     EvalConfig,
     EvaluationRow,
@@ -44,11 +46,11 @@ from harmbench.harness import (
 )
 from harmbench.nifti import load_volume, write_volume
 from harmbench.reference import PairedMetricRow
-from harmbench.volume import VoxelGrid
+from harmbench.volume import LabelCounts, VoxelGrid
 from harmbench.wasserstein import Verdict, WdPair
 
 from golden_dataset import GOLDEN, build_dataset, golden_outputs
-from nifti_fixtures import build_nifti, corrupt_deflate
+from nifti_fixtures import TYPED_FAILURES, build_nifti, corrupt_deflate, damaged_gzip_variants, sound_gzip_variants
 
 MANIFEST_HEADER = "id,input_path,target_path,pred_path,gt_path,seg_input_path,seg_pred_path,site_in,site_out,channel"
 
@@ -187,7 +189,7 @@ def test_half_segmentation_pair_rejects_the_manifest(tmp_path, monkeypatch, caps
 
     # none of the named volumes exists: a run that read any would fail its rows instead
     loads = []
-    monkeypatch.setattr(harness, "load_volume", lambda path: loads.append(path))
+    monkeypatch.setattr(harness, "_decode_file", lambda path, *args: loads.append(path))
     out = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -224,7 +226,7 @@ def test_bad_channel_rejects_the_manifest(tmp_path, monkeypatch, capsys, channel
 
     # none of the named volumes exists: a run that read any would fail its rows instead
     loads = []
-    monkeypatch.setattr(harness, "load_volume", lambda path: loads.append(path))
+    monkeypatch.setattr(harness, "_decode_file", lambda path, *args: loads.append(path))
     out = tmp_path / "results.csv"
     assert run(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -395,18 +397,16 @@ def test_shared_seg_results_equal_per_row_copies(tiny_dataset, workers):
 def test_each_shared_file_read_and_converted_once(tiny_dataset, monkeypatch):
     base, _ = tiny_dataset
     loads, conversions = Counter(), Counter()
-    load, convert = harness.load_volume, harness.as_label_volume
+    decode = harness._decode_file
 
-    def counted_load(path):
+    def counted_decode(path, *args):
         loads[path.name] += 1
-        return load(path)
+        product = decode(path, *args)
+        if isinstance(product, LabelCounts):  # a segmentation, converted to its labels' counts
+            conversions[product.dims] += 1
+        return product
 
-    def counted_convert(grid):
-        conversions[grid.dims] += 1
-        return convert(grid)
-
-    monkeypatch.setattr(harness, "load_volume", counted_load)
-    monkeypatch.setattr(harness, "as_label_volume", counted_convert)
+    monkeypatch.setattr(harness, "_decode_file", counted_decode)
     records = load_manifest(_shared_seg_manifest(base, rows=16))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches inside every read
@@ -466,14 +466,7 @@ def test_multichannel_file_read_once_for_all_channel_rows(tmp_path, monkeypatch)
         MANIFEST_HEADER + "\n"
         + "".join(f"x,in.nii,tg.nii,in.nii,,,,A,B,{c}\n" for c in range(channels))
     )
-    loads = Counter()
-    load = harness.load_volume
-
-    def counted_load(path):
-        loads[path.name] += 1
-        return load(path)
-
-    monkeypatch.setattr(harness, "load_volume", counted_load)
+    loads = _counted_loads(monkeypatch)
     rows = evaluate_all(load_manifest(tmp_path / "m.csv"), EvalConfig(workers=2))
     assert all(r.ok for r in rows)
     assert len({r.wd.wd_it for r in rows}) == channels
@@ -497,20 +490,17 @@ def test_foregrounds_of_shared_files_are_extracted_once(tiny_dataset, monkeypatc
     lines = [MANIFEST_HEADER] + [f"r{i},a.nii,b.nii,{pred},{'g.nii' if gt else ''},,,A,B," for i, pred in enumerate(preds)]
     (base / "m.csv").write_text("\n".join(lines) + "\n")
     loads = _counted_loads(monkeypatch)
-    loaded, extractions = [], Counter()
-    load, extract = harness.load_volume, harness.extract_foreground
+    extractions = Counter()
+    decode = harness._decode_file
 
-    def noted_load(path):
-        grid = load(path)
-        loaded.append((grid, path.name))
-        return grid
+    def noted_decode(path, *args):
+        entries = decode(path, *args)
+        for foreground, _ in entries.values():
+            if isinstance(foreground, EmpiricalDistribution):
+                extractions[path.name] += 1
+        return entries
 
-    def counted_extract(grid, policy):
-        extractions[next(name for seen, name in loaded if seen is grid)] += 1
-        return extract(grid, policy)
-
-    monkeypatch.setattr(harness, "load_volume", noted_load)
-    monkeypatch.setattr(harness, "extract_foreground", counted_extract)
+    monkeypatch.setattr(harness, "_decode_file", noted_decode)
     result = evaluate_all(load_manifest(base / "m.csv"), EvalConfig(workers=workers))
     assert all(r.ok for r in result) and all((r.reference is not None) == gt for r in result)
     files = ["a.nii", "b.nii", *dict.fromkeys(preds)]
@@ -643,18 +633,20 @@ def test_grids_are_dropped_before_w1(tiny_dataset, monkeypatch, gt):
     base, _ = tiny_dataset
     records = load_manifest(_own_files_manifest(base, gt))
     grids, alive = {}, []
-    load, w1 = harness.load_volume, harness.nwd
+    decode, w1 = harness._decode_file, harness.nwd
 
-    def tracked_load(path):
-        grid = load(path)
-        grids[path.name] = weakref.ref(grid)
-        return grid
+    def tracked_decode(path, *args):
+        product = decode(path, *args)
+        for _, grid in product.values() if isinstance(product, dict) else ():
+            if grid is not None:
+                grids[path.name] = weakref.ref(grid)
+        return product
 
     def checked_nwd(*dists):
         alive.append({name for name, ref in grids.items() if ref() is not None})
         return w1(*dists)
 
-    monkeypatch.setattr(harness, "load_volume", tracked_load)
+    monkeypatch.setattr(harness, "_decode_file", tracked_decode)
     monkeypatch.setattr(harness, "nwd", checked_nwd)
     (row,) = evaluate_all(records, EvalConfig())
     assert row.ok and (row.reference is not None) == gt
@@ -692,21 +684,21 @@ class _ReadAheadLog:
         self.events, self.loads_at_w1, self.ahead = [], None, []
         self.loaded_by, self.taken_up = [], []
         self._loaded, self._local = {}, threading.local()
-        load, w1, evaluate = harness.load_volume, harness.nwd, harness._evaluate_record
+        decode, w1, evaluate = harness._decode_file, harness.nwd, harness._evaluate_record
         make = harness._SharedFiles._make
 
         def loaded(name):
             return self._loaded.setdefault(name, threading.Event())
 
-        def logged_load(path):
+        def logged_decode(path, *args):
             with self._files._lock:
                 submitted = {os.path.basename(key[1]).split("_")[0] for key in self._files._made}
             self.ahead.append(submitted - {name for kind, name in self.events if kind == "start"})
             self.events.append(("load", path.name))
             self.loaded_by.append((path.name, getattr(self._local, "id", None)))
-            grid = load(path)
+            product = decode(path, *args)
             loaded(path.name).set()
-            return grid
+            return product
 
         def logged_make(files, key):
             if not hasattr(self._local, "id"):
@@ -727,7 +719,7 @@ class _ReadAheadLog:
             self._local.id = rec.id
             return evaluate(rec, config, files)
 
-        monkeypatch.setattr(harness, "load_volume", logged_load)
+        monkeypatch.setattr(harness, "_decode_file", logged_decode)
         monkeypatch.setattr(harness, "nwd", logged_nwd)
         monkeypatch.setattr(harness, "_evaluate_record", logged_evaluate)
         monkeypatch.setattr(harness._SharedFiles, "_make", logged_make)
@@ -765,13 +757,13 @@ def test_next_record_is_read_ahead_and_no_further(tiny_dataset, monkeypatch, wor
 def _counted_loads(monkeypatch):
     """The loads of each file name, counted from now on."""
     loads = Counter()
-    load = harness.load_volume
+    decode = harness._decode_file
 
-    def counted_load(path):
+    def counted_decode(path, *args):
         loads[path.name] += 1
-        return load(path)
+        return decode(path, *args)
 
-    monkeypatch.setattr(harness, "load_volume", counted_load)
+    monkeypatch.setattr(harness, "_decode_file", counted_decode)
     return loads
 
 
@@ -845,20 +837,20 @@ def test_read_ahead_of_a_row_without_gt_or_segmentations_starts_with_it(tiny_dat
     (base / "m.csv").write_text("\n".join(lines) + "\n")
     records = load_manifest(base / "m.csv")
     next_input_loaded, loaded_in_time, calls = threading.Event(), [], itertools.count(1)
-    load, w1 = harness.load_volume, harness.nwd
+    decode, w1 = harness._decode_file, harness.nwd
 
-    def noted_load(path):
-        grid = load(path)
+    def noted_decode(path, *args):
+        product = decode(path, *args)
         if path.name == "r1_in.nii":
             next_input_loaded.set()
-        return grid
+        return product
 
     def waiting_nwd(*dists):
         if next(calls) == 1:  # record 0's, on the one worker
             loaded_in_time.append(next_input_loaded.wait(5))
         return w1(*dists)
 
-    monkeypatch.setattr(harness, "load_volume", noted_load)
+    monkeypatch.setattr(harness, "_decode_file", noted_decode)
     monkeypatch.setattr(harness, "nwd", waiting_nwd)
     rows = evaluate_all(records, EvalConfig(workers=1))
     assert all(r.ok for r in rows)
@@ -888,16 +880,16 @@ class _LoadWaitsForAnother:
     def __init__(self, monkeypatch, first, then):
         self.in_time, self.then_threads, self.record_threads = [], [], set()
         first_loading, then_loading = threading.Event(), threading.Event()
-        load, evaluate, take = harness.load_volume, harness._evaluate_record, harness._SharedFiles.take
+        decode, evaluate, take = harness._decode_file, harness._evaluate_record, harness._SharedFiles.take
 
-        def gated_load(path):
+        def gated_decode(path, *args):
             if path.name == first:
                 first_loading.set()
                 self.in_time.append(then_loading.wait(5))
             if path.name == then:
                 self.then_threads.append(threading.get_ident())
                 then_loading.set()
-            return load(path)
+            return decode(path, *args)
 
         def noted_evaluate(rec, config, files):
             self.record_threads.add(threading.get_ident())
@@ -907,7 +899,7 @@ class _LoadWaitsForAnother:
             first_loading.wait(5)
             return take(files, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "load_volume", gated_load)
+        monkeypatch.setattr(harness, "_decode_file", gated_decode)
         monkeypatch.setattr(harness, "_evaluate_record", noted_evaluate)
         monkeypatch.setattr(harness._SharedFiles, "take", take_once_first_loads)
 
@@ -1045,14 +1037,14 @@ def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch
     base, _ = tiny_dataset
     records = load_manifest(_own_files_manifest(base, gt=True))
     loads, started = [], threading.Event()
-    load, start = harness.load_volume, harness._SharedFiles.start
+    decode, start = harness._decode_file, harness._SharedFiles.start
 
-    def slow_load(path):
+    def slow_decode(path, *args):
         loads.append(path.name)
         if path.name == "seg_in.nii":
             started.set()
             time.sleep(0.5)  # holds the one decode thread while the record fails
-        return load(path)
+        return decode(path, *args)
 
     def start_then_wait(files, rec):
         owed = start(files, rec)
@@ -1065,13 +1057,94 @@ def test_failed_record_cancels_its_decodes_not_started(tiny_dataset, monkeypatch
         started.wait()
         raise DegenerateNormalizer("input and target are indistinguishable")
 
-    monkeypatch.setattr(harness, "load_volume", slow_load)
+    monkeypatch.setattr(harness, "_decode_file", slow_decode)
     monkeypatch.setattr(harness._SharedFiles, "start", start_then_wait)
     monkeypatch.setattr(harness, "nwd", failing_nwd)
     (row,) = evaluate_all(records, EvalConfig(workers=1))
     assert row.status == "error: DegenerateNormalizer: input and target are indistinguishable"
     # gt is taken before W1; seg_pr's decode is cancelled before it starts
     assert loads == ["in.nii", "tg.nii", "pr.nii", "gt.nii", "seg_in.nii"]
+
+
+_TAKEN_AS = ("fg", "gt", "seg")
+
+
+def _rows_taking(base, name, seg=None):
+    """A manifest whose rows take a copy of the file ``name`` each: as an
+    input (its foreground, made as it is read), as a gt (its grid) and,
+    or ``seg`` in its place, as a segmentation (its label counts, made as
+    it is read). The copies are ``<fg|gt|seg>_<name>``."""
+    for taken_as, source in zip(_TAKEN_AS, (name, name, seg or name)):
+        shutil.copy(base / source, base / f"{taken_as}_{name}")
+    manifest = base / "taking.csv"
+    manifest.write_text(
+        MANIFEST_HEADER + "\n"
+        f"fg,fg_{name},b.nii,a.nii,,,,A,B,\n"
+        f"gt,a.nii,b.nii,a.nii,gt_{name},,,A,B,\n"
+        f"seg,a.nii,b.nii,a.nii,,seg_{name},seg.nii,A,B,\n"
+    )
+    return manifest
+
+
+def _load_statuses(base, name):
+    """The status of a row whose copy of ``name`` fails to load, per row of
+    :func:`_rows_taking`."""
+    statuses = []
+    for taken_as in _TAKEN_AS:
+        with pytest.raises(HarmbenchError) as raised:
+            load_volume(base / f"{taken_as}_{name}")
+        statuses.append(f"error: {type(raised.value).__name__}: {raised.value}")
+    return statuses
+
+
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzipped"])
+@pytest.mark.parametrize("data, fields, error, match", TYPED_FAILURES)
+def test_streamed_or_whole_a_bad_file_gives_every_row_its_load_status(tiny_dataset, data, fields, error, match, gzipped):
+    base, _ = tiny_dataset
+    (base / "bad.nii").write_bytes(build_nifti(data, gzipped=gzipped, **fields))
+    rows = evaluate_all(load_manifest(_rows_taking(base, "bad.nii")), EvalConfig())
+    statuses = _load_statuses(base, "bad.nii")
+    assert [r.status for r in rows] == statuses
+    assert all(status.startswith(f"error: {error.__name__}: ") for status in statuses)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streamed_or_whole_a_damaged_gzip_file_gives_every_row_its_load_status(tiny_dataset, workers):
+    base, _ = tiny_dataset
+    for variant, blob in damaged_gzip_variants((base / "a.nii").read_bytes()).items():
+        (base / "bad.nii.gz").write_bytes(blob)
+        rows = evaluate_all(load_manifest(_rows_taking(base, "bad.nii.gz")), EvalConfig(workers=workers))
+        assert [r.status for r in rows] == _load_statuses(base, "bad.nii.gz"), variant
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_streamed_or_whole_a_sound_gzip_file_gives_the_rows_of_its_plain_twin(tiny_dataset, workers):
+    base, _ = tiny_dataset
+    plain = evaluate_all(load_manifest(_rows_taking(base, "a.nii", seg="seg.nii")), EvalConfig())
+    assert all(r.ok for r in plain)
+    variants = {name: sound_gzip_variants((base / f"{name}.nii").read_bytes()) for name in ("a", "seg")}
+    for variant in variants["a"]:
+        for name in ("a", "seg"):
+            (base / f"{name}.nii.gz").write_bytes(variants[name][variant])
+        rows = evaluate_all(
+            load_manifest(_rows_taking(base, "a.nii.gz", seg="seg.nii.gz")), EvalConfig(workers=workers)
+        )
+        assert [row_cells(r) for r in rows] == [row_cells(r) for r in plain], variant
+
+
+def test_streamed_or_whole_a_nan_in_the_last_piece_outranks_the_first_pieces(tiny_dataset, monkeypatch):
+    # the first piece holds a negative label and no foreground
+    base, _ = tiny_dataset
+    values = np.zeros(8 ** 3, np.float32)
+    values[3] = -1.0
+    values[-1] = np.nan
+    (base / "nan.nii.gz").write_bytes(build_nifti(values, gzipped=True))
+    monkeypatch.setattr(nifti, "_PIECE", 64)
+    rows = evaluate_all(load_manifest(_rows_taking(base, "nan.nii.gz")), EvalConfig())
+    assert [r.status for r in rows] == [
+        f"error: NonFiniteVoxel: {base / f'{taken_as}_nan.nii.gz'}: voxel data contains NaN or infinity"
+        for taken_as in _TAKEN_AS
+    ]
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -8,7 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from harmbench.anatomy import LabelCounter, as_label_volume
+from harmbench.distribution import ForegroundPolicy, ForegroundSamples, extract_foreground
 from harmbench.errors import (
+    EmptyForeground,
+    HarmbenchError,
     IoFailure,
     MalformedHeader,
     NonFiniteVoxel,
@@ -16,11 +20,19 @@ from harmbench.errors import (
     UnsupportedDatatype,
 )
 from harmbench import nifti
-from harmbench.nifti import load_volume, parse_header, write_volume
+from harmbench.nifti import load_volume, parse_header, scan_volume, write_volume
 from harmbench.synth import PhantomSpec, Sphere, generate_phantom
 from harmbench.volume import VoxelGrid
 
-from nifti_fixtures import DT_BITPIX, DT_NUMPY, build_nifti, byteswap_nifti, corrupt_deflate
+from nifti_fixtures import (
+    DT_NUMPY,
+    TYPED_FAILURES,
+    build_nifti,
+    byteswap_nifti,
+    corrupt_deflate,
+    damaged_gzip_variants,
+    sound_gzip_variants,
+)
 
 
 def _write(tmp_path, blob, name="vol.nii"):
@@ -256,7 +268,7 @@ def test_zero_chunk_splice_round_trips(tmp_path, values):
     np.testing.assert_array_equal(np.signbit(back.values), np.signbit(values))
 
 
-def test_spliced_file_inflates_in_one_zlib_call(tmp_path, monkeypatch):
+def test_spliced_file_inflates_without_the_fallback(tmp_path, monkeypatch):
     grid = _row_grid(_chunks("Z", "N", "Z", "Z", "P"))
     write_volume(grid, tmp_path / "s.nii.gz")
 
@@ -432,35 +444,8 @@ def test_vox_offset_inside_header_is_malformed(tmp_path):
         load_volume(_write(tmp_path, blob))
 
 
-_ZEROS = np.zeros((2, 2, 2), np.float32)
-
-
 @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzipped"])
-@pytest.mark.parametrize(
-    "data, fields, error, match",
-    [
-        pytest.param(_ZEROS, dict(sizeof_hdr=340), MalformedHeader, "sizeof_hdr", id="sizeof_hdr"),
-        pytest.param(_ZEROS, dict(magic=b"ni1\x00"), MalformedHeader, "single-file", id="paired"),
-        pytest.param(_ZEROS, dict(magic=b"abcd"), MalformedHeader, "magic", id="magic"),
-        pytest.param(_ZEROS, dict(datatype=32), UnsupportedDatatype, "datatype", id="datatype"),
-        *(
-            pytest.param(
-                _ZEROS, dict(datatype=code, bitpix=2 * DT_BITPIX[code]), MalformedHeader,
-                f"bitpix {2 * DT_BITPIX[code]} inconsistent with datatype {code} "
-                rf"\(expected {DT_BITPIX[code]}\)",
-                id=f"bitpix-{code}",
-            )
-            for code in sorted(DT_NUMPY)
-        ),
-        pytest.param(_ZEROS, dict(dim=(0, 2, 2, 2, 1, 1, 1, 1)), MalformedHeader, "rank", id="rank"),
-        pytest.param(np.zeros(0, np.float32), dict(dim=(3, 2, 0, 2, 1, 1, 1, 1)), MalformedHeader,
-                     r"dim\[2\] must be >= 1", id="extent"),
-        pytest.param(_ZEROS, dict(pixdim=(1, 1.0, 0.0, 1.0)), MalformedHeader, "pixdim", id="pixdim"),
-        pytest.param(_ZEROS, dict(vox_offset=128.0), MalformedHeader, "vox_offset", id="vox_offset"),
-        pytest.param(np.zeros((4, 4, 4), np.float32), dict(truncate_data_to=100), TruncatedData,
-                     "need 256 data bytes at offset 352, file has 100", id="truncated"),
-    ],
-)
+@pytest.mark.parametrize("data, fields, error, match", TYPED_FAILURES)
 def test_typed_failure_is_the_same_plain_or_gzipped(tmp_path, data, fields, error, match, gzipped):
     # the plain file and its gzipped twin fail alike: same type, same message
     path = _write(tmp_path, build_nifti(data, gzipped=gzipped, **fields))
@@ -529,7 +514,7 @@ def test_corrupt_member_after_the_voxels_is_malformed(tmp_path):
         load_volume(_write(tmp_path, blob, "tail.nii.gz"))
 
 
-def test_forged_isize_is_capped_and_fails_typed(tmp_path):
+def test_forged_isize_fails_typed_in_bounded_memory(tmp_path):
     blob = bytearray(build_nifti(np.zeros((2, 2, 2), np.float32), gzipped=True))
     blob[-4:] = b"\xff\xff\xff\xff"
     path = _write(tmp_path, bytes(blob), "forged.nii.gz")
@@ -555,6 +540,185 @@ def test_gzip_header_is_parsed_once_per_load(tmp_path, monkeypatch):
     monkeypatch.setattr(nifti, "parse_header", counted_parse)
     np.testing.assert_array_equal(load_volume(path).values, np.arange(8))
     assert calls == [{"name": str(path)}]
+
+
+# ------------------------------------- the same file, through every consumer
+
+
+def _foreground(path):
+    return scan_volume(path, lambda dims, spacing, channels: ForegroundSamples(0.0))
+
+
+def _label_counts(path):
+    return scan_volume(path, lambda dims, spacing, channels: LabelCounter(dims, spacing))
+
+
+# what a file decodes to: its whole grid, or, as it is read, the foreground
+# or the label counts of its one channel
+_CONSUMERS = {"grid": load_volume, "foreground": _foreground, "labels": _label_counts}
+
+
+def _failure(consume, path):
+    """The type and text of the error ``consume(path)`` raises."""
+    with pytest.raises(HarmbenchError) as raised:
+        consume(path)
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzipped"])
+@pytest.mark.parametrize("data, fields, error, match", TYPED_FAILURES)
+def test_typed_failure_is_the_same_for_every_consumer(tmp_path, data, fields, error, match, gzipped, consumer):
+    path = _write(tmp_path, build_nifti(data, gzipped=gzipped, **fields))
+    with pytest.raises(error, match=match) as raised:
+        _CONSUMERS[consumer](path)
+    assert (type(raised.value), str(raised.value)) == _failure(load_volume, path)
+
+
+_LABELS = np.arange(512, dtype=np.float32) % 7  # a segmentation, and an intensity volume
+
+
+@pytest.mark.parametrize("variant", sorted(sound_gzip_variants(build_nifti(_LABELS))))
+def test_sound_gzip_containers_decode_alike_for_every_consumer(tmp_path, variant):
+    plain = build_nifti(_LABELS)
+    path = _write(tmp_path, sound_gzip_variants(plain)[variant], "v.nii.gz")
+    expected = _write(tmp_path, plain, "plain.nii")
+    for consume in _CONSUMERS.values():
+        assert consume(path) == consume(expected)
+
+
+# how gzip.decompress types each damaged container; its texts vary with the Python version
+_DAMAGED = {
+    "corrupt-deflate": (MalformedHeader, "corrupt gzip container: "),
+    "corrupt-trailing-member": (MalformedHeader, "corrupt gzip container: "),
+    "forged-isize": (MalformedHeader, "corrupt gzip container: "),
+    "truncated": (TruncatedData, "truncated gzip stream"),
+    "garbage-after-the-header": (TruncatedData, "truncated gzip stream"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_DAMAGED))
+def test_damaged_gzip_containers_fail_alike_for_every_consumer(tmp_path, variant):
+    path = _write(tmp_path, damaged_gzip_variants(build_nifti(_LABELS))[variant], "v.nii.gz")
+    error, text = _failure(load_volume, path)
+    assert error is _DAMAGED[variant][0] and text.startswith(f"{path}: {_DAMAGED[variant][1]}")
+    for consume in _CONSUMERS.values():
+        assert _failure(consume, path) == (error, text)
+
+
+def test_a_damaged_container_outranks_a_bad_header(tmp_path):
+    blob = build_nifti(_LABELS, sizeof_hdr=340, gzipped=True)
+    path = _write(tmp_path, blob[: len(blob) // 2], "v.nii.gz")
+    for consume in _CONSUMERS.values():
+        assert _failure(consume, path) == (TruncatedData, f"{path}: truncated gzip stream")
+
+
+@pytest.mark.parametrize("datatype", [2, 4, 16, 64])
+@pytest.mark.parametrize("vox_offset", [352.0, 353.0], ids=["aligned", "unaligned"])
+@pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzipped"])
+def test_pieces_of_a_few_bytes_decode_alike(tmp_path, monkeypatch, datatype, vox_offset, gzipped):
+    # three compressed bytes read and inflated at a time, and pieces of one
+    # to six voxels: the header and many voxels straddle what is read
+    blob = build_nifti(_LABELS, datatype=datatype, vox_offset=vox_offset, byte_order=">", gzipped=gzipped,
+                       scl_slope=2.0 if datatype == 4 else 0.0)
+    path = _write(tmp_path, blob, "v.nii.gz" if gzipped else "v.nii")
+    expected = [consume(path) for consume in _CONSUMERS.values()]
+    monkeypatch.setattr(nifti, "_READ", 3)
+    monkeypatch.setattr(nifti, "_PIECE", 6)
+    assert [consume(path) for consume in _CONSUMERS.values()] == expected
+    values = _LABELS * 2.0 if datatype == 4 else _LABELS
+    assert expected[0].values.dtype == (np.float64 if datatype == 4 else DT_NUMPY[datatype])
+    np.testing.assert_array_equal(expected[0].values, values)
+
+
+def test_a_nan_in_the_last_piece_outranks_what_the_first_one_shows(tmp_path, monkeypatch):
+    # read 16 voxels at a time: the first piece holds a negative label and no
+    # foreground, the last one a NaN
+    values = np.zeros(512, np.float32)
+    values[3] = -1.0
+    values[-1] = np.nan
+    monkeypatch.setattr(nifti, "_PIECE", 64)
+    path = _write(tmp_path, build_nifti(values, gzipped=True), "nan.nii.gz")
+    for consume in _CONSUMERS.values():
+        assert _failure(consume, path) == (NonFiniteVoxel, f"{path}: voxel data contains NaN or infinity")
+    # with the NaN zeroed, the first piece decides
+    values[-1] = 0.0
+    path = _write(tmp_path, build_nifti(values, gzipped=True), "neg.nii.gz")
+    with pytest.raises(EmptyForeground):
+        _foreground(path)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        _label_counts(path)
+
+
+def test_a_truncation_outranks_a_nan_read_before_it(tmp_path, monkeypatch):
+    values = np.ones(512, np.float32)
+    values[0] = np.nan
+    monkeypatch.setattr(nifti, "_PIECE", 64)
+    path = _write(tmp_path, build_nifti(values, truncate_data_to=1000, gzipped=True), "t.nii.gz")
+    for consume in _CONSUMERS.values():
+        assert _failure(consume, path) == (
+            TruncatedData, f"{path}: need 2048 data bytes at offset 352, file has 1000"
+        )
+
+
+def test_a_header_of_forged_dims_allocates_no_grid(tmp_path):
+    # 2**45 voxels asked of a file of a few: truncated, found without the grid
+    for gzipped in (False, True):
+        blob = build_nifti(np.zeros(8, np.float32), dim=(3, 32767, 32767, 32767), gzipped=gzipped)
+        path = _write(tmp_path, blob, "forged.nii.gz" if gzipped else "forged.nii")
+        tracemalloc.start()
+        try:
+            for consume in _CONSUMERS.values():
+                assert _failure(consume, path) == (
+                    TruncatedData,
+                    f"{path}: need {4 * 32767 ** 3} data bytes at offset 352, file has 32",
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def _streamed_peak(consume, path):
+    tracemalloc.start()
+    try:
+        consume(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_products_hold_no_decoded_file(tmp_path):
+    # 10**6 float32 voxels, a tenth of them foreground: a foreground or the
+    # label counts are made as the file is read, holding less than half of it
+    rng = np.random.default_rng(8)
+    n = 10 ** 6
+    tissue = rng.choice(n, n // 10, replace=False)
+    values, labels = np.zeros(n), np.zeros(n)
+    values[tissue] = rng.uniform(1, 100, tissue.size)
+    labels[tissue] = rng.integers(1, 5, tissue.size)
+    decoded = 352 + 4 * n
+    path, seg = tmp_path / "v.nii.gz", tmp_path / "seg.nii.gz"
+    write_volume(VoxelGrid((100, 100, 100), (1, 1, 1), values), path)
+    write_volume(VoxelGrid((100, 100, 100), (1, 1, 1), labels), seg)
+    assert _streamed_peak(_foreground, path) < decoded / 2
+    assert _streamed_peak(_label_counts, seg) < decoded / 2
+    assert _foreground(path) == extract_foreground(load_volume(path), ForegroundPolicy())
+    assert _label_counts(seg).voxel_counts == as_label_volume(load_volume(seg)).voxel_counts
+
+
+def test_write_makes_no_float32_copy_of_the_grid(tmp_path):
+    rng = np.random.default_rng(9)
+    grid = VoxelGrid((100, 100, 100), (1, 1, 1), rng.uniform(0, 100, 10 ** 6))
+    for name in ("w.nii", "w.nii.gz"):
+        tracemalloc.start()
+        try:
+            write_volume(grid, tmp_path / name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6 / 2  # half the float32 image
+        assert load_volume(tmp_path / name) == VoxelGrid(grid.dims, grid.spacing, grid.values.astype(np.float32))
 
 
 def test_write_failure_maps_to_io_failure(tmp_path):

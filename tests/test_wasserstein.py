@@ -304,6 +304,29 @@ def test_block_edges_give_the_bits_of_one_full_length_sum(n, kinds):
         _same_bits_as_one_full_length_sum(make_a(rng, n), make_b(rng, m))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 7, 3 * B + 1])
+def test_narrow_dtypes_on_block_edges_give_the_bits_of_one_full_length_sum(n, dtype):
+    # an equal-count pair sums one side for both, an unequal one each side
+    # over its breakpoints: either way every gap is taken in float64
+    rng = np.random.default_rng(n)
+    for m in (n, n - 5, 2 * n + 3):
+        a = _u(rng.normal(100.0, 20.0, n).astype(dtype))
+        b = _u(rng.normal(104.0, 22.0, m).astype(dtype))
+        assert a.values.dtype == b.values.dtype == dtype
+        _same_bits_as_one_full_length_sum(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+def test_equal_counts_sum_one_side_with_the_bits_of_both(dtype):
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 127, 128, 129, B + 1, 3 * B + 5):
+        a = _u(rng.normal(100.0, 20.0, n).astype(dtype))
+        b = _u(np.repeat(rng.normal(90.0, 30.0, n), 2)[:n].astype(dtype))  # ties too
+        both = (wasserstein._side_sum(a, b) + wasserstein._side_sum(b, a)) / (n * n)
+        assert wasserstein_1d(a, b) == wasserstein_1d(b, a) == both
+
+
 @pytest.mark.parametrize("n_a,n_b", [(2 * B, 3 * B), (2 * B, 2 * B), (4 * B, 6 * B)])
 def test_breakpoints_shared_on_a_block_edge_give_the_same_bits(n_a, n_b):
     # a breakpoint shared by both sides ends the block before an edge
